@@ -14,6 +14,13 @@ fully connected residual blocks with a softplus nonlinearity (smooth, so
 finite-difference gradient checks are meaningful); two linear heads read
 the final hidden state.
 
+All parameters live in one contiguous array whose dtype is the compute
+dtype: float32 for models that `init` builds by default (and for every
+model a checkpoint holds), float64 where a caller asks for it, as the
+finite-difference checks do. Forward passes cast their inputs to that
+dtype and return float64 predictions, so the loss, the posterior and the
+sampler compute in float64 either way.
+
 Forward and backward passes are plain numpy and fully deterministic;
 backward_batch returns exact gradients that the finite-difference oracle
 validates coordinate-wise.
@@ -74,6 +81,9 @@ class DenoiserOutput:
     theta0_logits: np.ndarray
 
 
+PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -87,17 +97,31 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class ReferenceDenoiser:
-    """Trainable denoiser; parameters live in an ordered name -> array dict."""
+    """Trainable denoiser over one contiguous parameter array.
 
-    def __init__(self, config: DenoiserConfig, params: dict[str, np.ndarray]):
+    `flat` holds every parameter in canonical order; its dtype (float32 or
+    float64) is the compute dtype of the forward and backward passes.
+    `params` maps each name to a view into `flat`, so writing through
+    either updates both.
+    """
+
+    def __init__(self, config: DenoiserConfig, flat: np.ndarray):
         self.config = config
-        expected = self.param_shapes(config)
-        if list(params.keys()) != list(expected.keys()):
-            raise ValidationError("parameter dict does not match canonical layout")
-        for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ValidationError(f"parameter '{name}' has shape {params[name].shape}, expected {shape}")
-        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+        self._layout = []
+        off = 0
+        for name, shape in self.param_shapes(config).items():
+            size = int(np.prod(shape))
+            self._layout.append((name, off, off + size, shape))
+            off += size
+        if not (isinstance(flat, np.ndarray) and flat.dtype in PARAM_DTYPES and flat.flags.c_contiguous):
+            raise ValidationError("parameters must be a contiguous float32 or float64 array")
+        if flat.shape != (off,):
+            raise ValidationError(f"flat parameter array has shape {flat.shape}, expected ({off},)")
+        self.flat = flat
+        self.params = self._views(flat)
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._layout}
 
     @staticmethod
     def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
@@ -120,34 +144,35 @@ class ReferenceDenoiser:
         return shapes
 
     @classmethod
-    def init(cls, config: DenoiserConfig, seed: int) -> "ReferenceDenoiser":
-        """He-style initialization of all weight matrices, zero biases."""
+    def param_count(cls, config: DenoiserConfig) -> int:
+        return sum(int(np.prod(shape)) for shape in cls.param_shapes(config).values())
+
+    @classmethod
+    def init(cls, config: DenoiserConfig, seed: int, dtype=np.float32) -> "ReferenceDenoiser":
+        """He-style initialization of all weight matrices, zero biases.
+
+        The draws are float64 whatever the dtype, so a float32 model holds
+        the rounded values of the float64 model with the same seed."""
         rng = np.random.default_rng(seed)
-        params = {}
-        for name, shape in cls.param_shapes(config).items():
+        model = cls(config, np.zeros(cls.param_count(config), dtype=dtype))
+        for name, v in model.params.items():
             if name.endswith("_b"):
-                params[name] = np.zeros(shape)
-            elif name.endswith("emb"):
-                params[name] = rng.standard_normal(shape)
-            else:
-                fan_in = shape[0]
-                params[name] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-        return cls(config, params)
+                continue
+            draw = rng.standard_normal(v.shape)
+            v[...] = draw if name.endswith("emb") else draw * np.sqrt(2.0 / v.shape[0])
+        return model
 
     @property
     def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
+        return self.flat.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([self.params[k].reshape(-1) for k in self.params])
+        return self.flat.copy()
 
     def load_flat(self, flat: np.ndarray):
-        if flat.shape != (self.n_params,):
+        if flat.shape != self.flat.shape:
             raise ValidationError(f"flat parameter array has {flat.shape[0]} entries, expected {self.n_params}")
-        off = 0
-        for k, v in self.params.items():
-            v[...] = flat[off : off + v.size].reshape(v.shape)
-            off += v.size
+        self.flat[...] = flat
 
     def _cond_index(self, cond: np.ndarray) -> np.ndarray:
         cond = np.asarray(cond, dtype=np.int64)
@@ -158,10 +183,12 @@ class ReferenceDenoiser:
     def forward_batch(self, x_t: np.ndarray, y_t: np.ndarray, t: np.ndarray, cond: np.ndarray):
         """Batched forward pass. cond entries < 0 select the null embedding.
 
-        Returns (x0_hat (B,N), logits (B,M,K), cache for backward_batch).
+        Computes in the parameter dtype and returns float64 predictions:
+        (x0_hat (B,N), logits (B,M,K), cache for backward_batch).
         """
         cfg, s, p = self.config, self.config.shape, self.params
-        x_t = np.asarray(x_t, dtype=np.float64)
+        dtype = self.flat.dtype
+        x_t = np.asarray(x_t)
         y_t = np.asarray(y_t, dtype=np.int64)
         if x_t.ndim != 2 or x_t.shape[1] != s.n_gauss or y_t.shape != (x_t.shape[0], s.n_cat):
             raise ValidationError("input batch shapes do not match the model's ShapeSpec")
@@ -171,7 +198,9 @@ class ReferenceDenoiser:
         c_idx = self._cond_index(cond)
         e_lab = p["label_emb"][y_t - 1].reshape(batch, -1)
         h0 = np.concatenate(
-            [x_t, e_lab, time_embedding(t, cfg.time_emb_dim), p["cond_emb"][c_idx]], axis=1
+            [x_t.astype(dtype, copy=False), e_lab, time_embedding(t, cfg.time_emb_dim).astype(dtype),
+             p["cond_emb"][c_idx]],
+            axis=1,
         )
         h = h0 @ p["in_w"] + p["in_b"]
         blocks = []
@@ -183,45 +212,47 @@ class ReferenceDenoiser:
         x0_hat = h @ p["head_x_w"] + p["head_x_b"]
         logits = (h @ p["head_y_w"] + p["head_y_b"]).reshape(batch, s.n_cat, s.n_classes)
         cache = (h0, blocks, h, y_t, c_idx)
-        return x0_hat, logits, cache
+        return x0_hat.astype(np.float64, copy=False), logits.astype(np.float64, copy=False), cache
 
-    def backward_batch(self, cache, dx0_hat: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    def backward_batch(self, cache, dx0_hat: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
         """Exact parameter gradients for the loss whose output-gradients are
-        given; contributions are summed over the batch."""
+        given, summed over the batch, in a new array laid out like `flat`.
+
+        Each call returns a fresh array, so a caller may keep one call's
+        gradients while it makes further calls."""
         cfg, s, p = self.config, self.config.shape, self.params
         h0, blocks, h_fin, y_t, c_idx = cache
         batch = h0.shape[0]
-        dlog_flat = dlogits.reshape(batch, -1)
-        g = {
-            "head_x_w": h_fin.T @ dx0_hat,
-            "head_x_b": dx0_hat.sum(axis=0),
-            "head_y_w": h_fin.T @ dlog_flat,
-            "head_y_b": dlog_flat.sum(axis=0),
-        }
+        dtype = self.flat.dtype
+        grad = np.empty_like(self.flat)
+        g = self._views(grad)
+        dx0_hat = np.asarray(dx0_hat, dtype=dtype)
+        dlog_flat = np.asarray(dlogits, dtype=dtype).reshape(batch, -1)
+        np.matmul(h_fin.T, dx0_hat, out=g["head_x_w"])
+        dx0_hat.sum(axis=0, out=g["head_x_b"])
+        np.matmul(h_fin.T, dlog_flat, out=g["head_y_w"])
+        dlog_flat.sum(axis=0, out=g["head_y_b"])
         dh = dx0_hat @ p["head_x_w"].T + dlog_flat @ p["head_y_w"].T
         for b in range(cfg.n_blocks - 1, -1, -1):
             h_in, a, u = blocks[b]
             du = dh @ p[f"blk{b}_w2"].T
-            g[f"blk{b}_w2"] = u.T @ dh
-            g[f"blk{b}_b2"] = dh.sum(axis=0)
+            np.matmul(u.T, dh, out=g[f"blk{b}_w2"])
+            dh.sum(axis=0, out=g[f"blk{b}_b2"])
             da = du * expit(a)
-            g[f"blk{b}_w1"] = h_in.T @ da
-            g[f"blk{b}_b1"] = da.sum(axis=0)
+            np.matmul(h_in.T, da, out=g[f"blk{b}_w1"])
+            da.sum(axis=0, out=g[f"blk{b}_b1"])
             dh = dh + da @ p[f"blk{b}_w1"].T
-        g["in_w"] = h0.T @ dh
-        g["in_b"] = dh.sum(axis=0)
+        np.matmul(h0.T, dh, out=g["in_w"])
+        dh.sum(axis=0, out=g["in_b"])
         dh0 = dh @ p["in_w"].T
         lab_lo = s.n_gauss
         lab_hi = lab_lo + s.n_cat * cfg.label_emb_dim
         de_lab = dh0[:, lab_lo:lab_hi].reshape(batch, s.n_cat, cfg.label_emb_dim)
-        g_lab = np.zeros_like(p["label_emb"])
-        np.add.at(g_lab, (y_t - 1).reshape(-1), de_lab.reshape(-1, cfg.label_emb_dim))
-        g["label_emb"] = g_lab
-        de_c = dh0[:, lab_hi + cfg.time_emb_dim :]
-        g_cond = np.zeros_like(p["cond_emb"])
-        np.add.at(g_cond, c_idx, de_c)
-        g["cond_emb"] = g_cond
-        return {k: g[k] for k in self.params}
+        g["label_emb"][...] = 0.0
+        np.add.at(g["label_emb"], (y_t - 1).reshape(-1), de_lab.reshape(-1, cfg.label_emb_dim))
+        g["cond_emb"][...] = 0.0
+        np.add.at(g["cond_emb"], c_idx, dh0[:, lab_hi + cfg.time_emb_dim :])
+        return grad
 
 
 def forward(model: ReferenceDenoiser, inp: DenoiserInput) -> DenoiserOutput:

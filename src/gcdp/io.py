@@ -7,6 +7,12 @@ for label data, and a trailing CRC-32 over every preceding byte. Readers
 verify the checksum before parsing and report malformed content with the
 byte offset and field name.
 
+Checkpoints (format version 2) store both noise schedules as 64-bit
+floats and the flat parameter and optimizer arrays as 32-bit floats, the
+dtype the denoiser trains in, so a loaded checkpoint reproduces the saved
+float32 model exactly. Loading builds the model directly on the stored
+arrays. Datasets and masks keep format version 1.
+
 Images are exported as binary PGM (P5, maxval 255) with pixel values
 mapped linearly from [-1, 1]; layouts as P5 with the pixel value equal to
 the 1-based class index. A samples directory carries a plain-text
@@ -32,7 +38,8 @@ from .training import AdamState
 CHECKPOINT_MAGIC = b"GCDP"
 DATASET_MAGIC = b"GCDS"
 MASK_MAGIC = b"GCMK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # datasets and masks
+CHECKPOINT_VERSION = 2
 
 
 class Writer:
@@ -59,6 +66,11 @@ class Writer:
 
     def f32_array(self, arr: np.ndarray):
         arr = np.ascontiguousarray(arr, dtype="<f4")
+        self.u32(arr.size)
+        self.buf += arr.tobytes()
+
+    def f64_array(self, arr: np.ndarray):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         self.u32(arr.size)
         self.buf += arr.tobytes()
 
@@ -107,9 +119,15 @@ class Reader:
         return self._scalar("<f", field)
 
     def f32_array(self, field: str) -> np.ndarray:
+        """A stored float32 array, as a new writable float32 array."""
         n = self.u32(field + ".len")
         raw = self._take(4 * n, field)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return np.frombuffer(raw, dtype="<f4").astype(np.float32)
+
+    def f64_array(self, field: str) -> np.ndarray:
+        n = self.u32(field + ".len")
+        raw = self._take(8 * n, field)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
     def u16_array(self, field: str) -> np.ndarray:
         n = self.u32(field + ".len")
@@ -121,9 +139,9 @@ class Reader:
         if got != magic:
             raise FormatError(f"{self.name}: bad magic {got!r}, expected {magic!r}", offset=0, field="magic")
 
-    def expect_version(self):
+    def expect_version(self, version: int = FORMAT_VERSION):
         v = self.u16("version")
-        if v != FORMAT_VERSION:
+        if v != version:
             raise FormatError(f"{self.name}: unsupported format version {v}", offset=self.off - 2, field="version")
 
     def done(self):
@@ -163,22 +181,22 @@ class Checkpoint:
 def checkpoint_bytes(ck: Checkpoint) -> bytes:
     w = Writer()
     w.raw(CHECKPOINT_MAGIC)
-    w.u16(FORMAT_VERSION)
+    w.u16(CHECKPOINT_VERSION)
     s = ck.model.config.shape
     w.u32(s.n_gauss)
     w.u32(s.n_cat)
     w.u32(s.n_classes)
     w.u32(ck.sched.total_steps)
-    w.f32_array(ck.sched.beta_gauss)
-    w.f32_array(ck.sched.beta_cat)
+    w.f64_array(ck.sched.beta_gauss)
+    w.f64_array(ck.sched.beta_cat)
     cfg = ck.model.config
     for v in (cfg.n_conds, cfg.hidden, cfg.n_blocks, cfg.label_emb_dim, cfg.time_emb_dim, cfg.cond_emb_dim):
         w.u32(v)
     w.u32(ck.height)
     w.u32(ck.width)
-    w.f32_array(ck.model.flatten())
-    w.f32_array(np.concatenate([ck.opt.m[k].reshape(-1) for k in ck.model.params]))
-    w.f32_array(np.concatenate([ck.opt.v[k].reshape(-1) for k in ck.model.params]))
+    w.f32_array(ck.model.flat)
+    w.f32_array(ck.opt.m)
+    w.f32_array(ck.opt.v)
     w.u64(ck.opt.step)
     w.u64(ck.train_steps)
     w.u64(ck.seed)
@@ -188,11 +206,11 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
 def checkpoint_from_bytes(data: bytes, name: str = "checkpoint") -> Checkpoint:
     r = Reader(_checked_payload(data, name), name)
     r.expect_magic(CHECKPOINT_MAGIC)
-    r.expect_version()
+    r.expect_version(CHECKPOINT_VERSION)
     shape = ShapeSpec(n_gauss=r.u32("n_gauss"), n_cat=r.u32("n_cat"), n_classes=r.u32("n_classes"))
     total = r.u32("schedule.T")
-    bg = r.f32_array("schedule.beta_gauss")
-    bc = r.f32_array("schedule.beta_cat")
+    bg = r.f64_array("schedule.beta_gauss")
+    bc = r.f64_array("schedule.beta_cat")
     if bg.size != total or bc.size != total:
         raise FormatError(f"{name}: schedule arrays do not match T={total}", offset=r.off, field="schedule")
     sched = NoiseSchedule(beta_gauss=bg, beta_cat=bc, check_terminal=False)
@@ -207,26 +225,20 @@ def checkpoint_from_bytes(data: bytes, name: str = "checkpoint") -> Checkpoint:
     )
     height = r.u32("arch.height")
     width = r.u32("arch.width")
-    model = ReferenceDenoiser.init(cfg, seed=0)
+    n_params = ReferenceDenoiser.param_count(cfg)
     flat = r.f32_array("params")
-    if flat.size != model.n_params:
+    if flat.size != n_params:
         raise FormatError(
-            f"{name}: {flat.size} parameters, architecture needs {model.n_params}",
+            f"{name}: {flat.size} parameters, architecture needs {n_params}",
             offset=r.off,
             field="params",
         )
-    model.load_flat(flat)
-    opt = AdamState(model.params)
-    m_flat = r.f32_array("opt.m")
-    v_flat = r.f32_array("opt.v")
-    if m_flat.size != model.n_params or v_flat.size != model.n_params:
+    model = ReferenceDenoiser(cfg, flat)
+    m = r.f32_array("opt.m")
+    v = r.f32_array("opt.v")
+    if m.size != n_params or v.size != n_params:
         raise FormatError(f"{name}: optimizer state size mismatch", offset=r.off, field="opt")
-    off = 0
-    for k, p in model.params.items():
-        opt.m[k][...] = m_flat[off : off + p.size].reshape(p.shape)
-        opt.v[k][...] = v_flat[off : off + p.size].reshape(p.shape)
-        off += p.size
-    opt.step = r.u64("opt.step")
+    opt = AdamState(m, v, r.u64("opt.step"))
     train_steps = r.u64("train_steps")
     seed = r.u64("seed")
     r.done()
@@ -286,7 +298,7 @@ def dataset_from_bytes(data: bytes, name: str = "dataset") -> tuple[SceneConfig,
     count = r.u32("count")
     samples = []
     for i in range(count):
-        x = r.f32_array(f"sample[{i}].x")
+        x = r.f32_array(f"sample[{i}].x").astype(np.float64)
         y = r.u16_array(f"sample[{i}].y")
         cond = r.u32(f"sample[{i}].cond")
         if x.size != cfg.n_pixels or y.size != cfg.n_pixels:

@@ -81,8 +81,9 @@ def frechet_gaussians(mu1: np.ndarray, cov1: np.ndarray, mu2: np.ndarray, cov2: 
 
     The cross term uses Tr (cov1 cov2)^{1/2} = Tr (S cov2 S)^{1/2} with
     S = cov1^{1/2}, evaluated by symmetric eigendecomposition with negative
-    eigenvalues clipped at zero; averaging both argument orders makes the
-    result exactly symmetric despite eigensolver round-off."""
+    eigenvalues clipped at zero. Both argument orders of the cross term are
+    summed and the traces are added before the cross terms are subtracted,
+    so the result is bitwise symmetric despite eigensolver round-off."""
     mu1, mu2 = np.atleast_1d(mu1), np.atleast_1d(mu2)
     cov1, cov2 = np.atleast_2d(cov1), np.atleast_2d(cov2)
     if not all(np.all(np.isfinite(a)) for a in (mu1, mu2, cov1, cov2)):
@@ -90,7 +91,7 @@ def frechet_gaussians(mu1: np.ndarray, cov1: np.ndarray, mu2: np.ndarray, cov2: 
     cross12 = np.trace(_sym_sqrt(_sym_sqrt(cov1) @ cov2 @ _sym_sqrt(cov1)))
     cross21 = np.trace(_sym_sqrt(_sym_sqrt(cov2) @ cov1 @ _sym_sqrt(cov2)))
     diff = mu1 - mu2
-    return float(diff @ diff + np.trace(cov1) + np.trace(cov2) - (cross12 + cross21))
+    return float(diff @ diff + (np.trace(cov1) + np.trace(cov2)) - (cross12 + cross21))
 
 
 def fsd(gen_layouts: np.ndarray, real_layouts: np.ndarray, n_classes: int) -> float:

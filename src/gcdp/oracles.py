@@ -104,36 +104,29 @@ def quad_joint_kl(p: FactorizedGCParams, q: FactorizedGCParams) -> float:
     return total
 
 
-def finite_diff_grads(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central finite differences of loss_fn() w.r.t. every parameter entry.
+def finite_diff_grads(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of loss_fn() w.r.t. every entry of a flat
+    parameter array.
 
     loss_fn reads the (mutated-in-place) params and must be deterministic.
     """
-    grads = {}
-    for name, arr in params.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.shape[0]):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
-        grads[name] = g
+    grads = np.zeros_like(params)
+    for i in range(params.shape[0]):
+        orig = params[i]
+        params[i] = orig + h
+        up = loss_fn()
+        params[i] = orig - h
+        down = loss_fn()
+        params[i] = orig
+        grads[i] = (up - down) / (2.0 * h)
     return grads
 
 
-def max_rel_error(a: dict[str, np.ndarray], b: dict[str, np.ndarray], floor: float = 1e-4) -> float:
-    """Worst per-coordinate relative error between two gradient dicts.
+def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
+    """Worst per-coordinate relative error between two gradient arrays.
 
     The floor keeps near-zero coordinates from amplifying finite-difference
     round-off into spurious relative errors.
     """
-    worst = 0.0
-    for name in a:
-        denom = np.maximum(np.maximum(np.abs(a[name]), np.abs(b[name])), floor)
-        worst = max(worst, float(np.max(np.abs(a[name] - b[name]) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float(np.max(np.abs(a - b) / denom))

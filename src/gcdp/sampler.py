@@ -2,8 +2,9 @@
 
 Sampling starts from pure noise (standard normal image, uniform labels)
 and walks a descending subset of timesteps. At each visited step the
-model predicts the clean state; the next state is drawn from the Bayes
-posterior built from that prediction, with skipped steps collapsed into
+model predicts the clean state, and the predicted image is clipped to the
+data range [-1, 1]; the next state is drawn from the Bayes posterior
+built from that prediction, with skipped steps collapsed into
 one effective transition of retention abar_t / abar_s per chain. At the
 final visited step the sampler emits the decoder mode: the predicted
 image directly and the argmax of the predicted label PMF, with no noise
@@ -89,7 +90,8 @@ def _predict(
     conds: np.ndarray,
     guidance: GuidanceConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Guided clean-state prediction: (x0_hat (B,N), theta0 (B,M,K))."""
+    """Guided clean-state prediction: (x0_hat (B,N), theta0 (B,M,K)), with
+    x0_hat clipped to the data range [-1, 1] after guidance mixing."""
     t_arr = np.full(x.shape[0], t)
     xc, lc, _ = model.forward_batch(x, y, t_arr, conds)
     if guidance.enabled and guidance.scale != 1.0:
@@ -100,7 +102,9 @@ def _predict(
         lc = lu + w * (lc - lu)
     if not (np.all(np.isfinite(xc)) and np.all(np.isfinite(lc))):
         raise NumericalError(f"non-finite denoiser prediction at timestep {t}")
-    return xc, softmax(lc)
+    # Clean images lie in [-1, 1]. An unclipped prediction outside it feeds
+    # the posterior mean, and the chain can grow without bound.
+    return np.clip(xc, -1.0, 1.0), softmax(lc)
 
 
 def _validate_steps(steps, total_steps: int) -> list[int]:

@@ -36,35 +36,39 @@ def accumulate(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, np.cumprod(alpha)
 
 
-def cosine_beta(total_steps: int, offset: float = 0.008) -> np.ndarray:
-    """Beta sequence whose alphabar follows the squared-cosine profile.
-
-    alphabar_t = f(t)/f(0) with f(t) = cos^2(((t/T + s)/(1 + s)) * pi/2);
-    beta_t = 1 - f(t)/f(t-1), clipped to at most BETA_MAX. The final raw
-    beta is exactly 1 (f(T) = 0), so the clip always engages there.
-    """
+def _cosine_raw_beta(total_steps: int, offset: float) -> np.ndarray:
     if total_steps < 1:
         raise ValidationError("total_steps must be >= 1")
     if not (0.0 < offset < 0.1):
         raise ValidationError("offset must lie in (0, 0.1)")
     t = np.arange(total_steps + 1, dtype=np.float64) / total_steps
     f = np.cos((t + offset) / (1.0 + offset) * np.pi / 2.0) ** 2
-    beta = 1.0 - f[1:] / f[:-1]
-    return np.minimum(beta, BETA_MAX)
+    return 1.0 - f[1:] / f[:-1]
+
+
+def cosine_beta(total_steps: int, offset: float = 0.008) -> np.ndarray:
+    """Beta sequence whose alphabar follows the squared-cosine profile.
+
+    alphabar_t = f(t)/f(0) with f(t) = cos^2(((t/T + s)/(1 + s)) * pi/2);
+    beta_t = 1 - f(t)/f(t-1), clipped to at most BETA_MAX. The final raw
+    beta is 1 (f(T) = 0 up to rounding), so the clip always engages there.
+    """
+    return np.minimum(_cosine_raw_beta(total_steps, offset), BETA_MAX)
 
 
 def power_coupled(beta_gauss: np.ndarray, p: float) -> np.ndarray:
     """Categorical betas as the p-th power of the Gaussian betas.
 
     p = 1 copies the Gaussian chain; p > 1 weakens the categorical noise
-    pointwise (beta^p <= beta for beta < 1). Results are clipped into
-    (0, BETA_MAX].
+    pointwise (beta^p <= beta for beta < 1). Input betas lie in (0, 1];
+    results are clipped into (0, BETA_MAX] after the power, so a raw
+    schedule ending at beta = 1 ends at BETA_MAX for every p.
     """
     if not (p > 0.0) or not np.isfinite(p):
         raise ValidationError("power p must be a finite positive real")
     beta_gauss = np.asarray(beta_gauss, dtype=np.float64)
-    if beta_gauss.size == 0 or not np.all((beta_gauss > 0.0) & (beta_gauss < 1.0)):
-        raise ValidationError("every beta must lie strictly inside (0, 1)")
+    if beta_gauss.size == 0 or not np.all((beta_gauss > 0.0) & (beta_gauss <= 1.0)):
+        raise ValidationError("every beta must lie in (0, 1]")
     return np.minimum(beta_gauss**p, BETA_MAX)
 
 
@@ -134,6 +138,10 @@ class NoiseSchedule:
 def cosine_schedule(total_steps: int, offset: float = 0.008, p: float = 1.0) -> NoiseSchedule:
     """Standard schedule: cosine profile on the Gaussian chain, categorical
     chain power-coupled with exponent p (p = 1 makes the chains identical).
+
+    The power applies to the raw cosine betas, before the BETA_MAX clip:
+    powering the clipped final beta (0.999^3 = 0.997) would leave
+    alphabar_cat(T) above the terminal bound for large p.
     """
-    bg = cosine_beta(total_steps, offset)
-    return NoiseSchedule(beta_gauss=bg, beta_cat=power_coupled(bg, p))
+    raw = _cosine_raw_beta(total_steps, offset)
+    return NoiseSchedule(beta_gauss=np.minimum(raw, BETA_MAX), beta_cat=power_coupled(raw, p))

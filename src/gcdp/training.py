@@ -88,8 +88,9 @@ def vlb_loss(
     cond_dropout: float = 0.0,
     lambda_cat: float = 1.0,
     mode: str = "vlb",
-) -> tuple[float, dict[str, np.ndarray], LossBreakdown]:
-    """Mean per-item loss over a batch, with exact parameter gradients.
+) -> tuple[float, np.ndarray, LossBreakdown]:
+    """Mean per-item loss over a batch, with exact parameter gradients
+    laid out like `model.flat`.
 
     Consumes the generator in a fixed order (timesteps, image noise, label
     uniforms, dropout mask), so the loss is a deterministic smooth function
@@ -267,32 +268,54 @@ class TrainConfig:
             raise ValidationError(f"unknown loss mode {self.loss_mode!r}")
 
 
+@dataclass
 class AdamState:
-    """First/second-moment accumulators, one pair per parameter."""
+    """First/second-moment accumulators, laid out like the flat parameters."""
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.step = 0
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
+
+    @classmethod
+    def zeros(cls, params: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params))
+
+
+# Entries per block of adam_update: the block's temporaries stay in cache.
+ADAM_BLOCK = 1 << 16
 
 
 def adam_update(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
+    """One Adam step over flat arrays, in place and in the parameters' dtype:
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)."""
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        p -= lr * (state.m[k] / bc1) / (np.sqrt(state.v[k] / bc2) + eps)
+    tmp = np.empty(min(ADAM_BLOCK, params.size), dtype=params.dtype)
+    for lo in range(0, params.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, params.size)
+        g, m, v, t = grads[lo:hi], state.m[lo:hi], state.v[lo:hi], tmp[: hi - lo]
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=t)
+        m += t
+        v *= beta2
+        np.multiply(g, g, out=t)
+        t *= 1.0 - beta2
+        v += t
+        np.multiply(v, 1.0 / bc2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(m, t, out=t)
+        t *= lr / bc1
+        params[lo:hi] -= t
 
 
 def train(
@@ -313,7 +336,7 @@ def train(
     if n == 0:
         raise ValidationError("dataset must be nonempty")
     if opt is None:
-        opt = AdamState(model.params)
+        opt = AdamState.zeros(model.flat)
     rng = np.random.default_rng(cfg.seed)
     trace: list[tuple[int, float]] = []
     for step in range(cfg.steps):
@@ -329,7 +352,7 @@ def train(
             lambda_cat=cfg.lambda_cat,
             mode=cfg.loss_mode,
         )
-        adam_update(model.params, grads, opt, cfg.lr)
+        adam_update(model.flat, grads, opt, cfg.lr)
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             trace.append((step, loss))
     return model, opt, trace

@@ -236,9 +236,10 @@ def check_kl_decomposition(n_cases: int = 200, seed: int = 0) -> CheckResult:
 
 
 def _grad_check_setup():
+    # float64: central differences at h = 1e-5 need more digits than float32 holds
     shape = ShapeSpec(n_gauss=2, n_cat=1, n_classes=2)
     cfg = DenoiserConfig(shape=shape, n_conds=1, hidden=8, n_blocks=1, label_emb_dim=2, time_emb_dim=4, cond_emb_dim=2)
-    return ReferenceDenoiser.init(cfg, seed=0)
+    return ReferenceDenoiser.init(cfg, seed=0, dtype=np.float64)
 
 
 def check_gradients(n_points: int = 100, seed: int = 0, mode: str = "vlb") -> CheckResult:
@@ -268,7 +269,7 @@ def check_gradients(n_points: int = 100, seed: int = 0, mode: str = "vlb") -> Ch
         _, grads, _ = vlb_loss(
             x0, y0, cond, model, sched, np.random.default_rng(draw_seed), cond_dropout=0.3, mode=mode
         )
-        fd = oracles.finite_diff_grads(loss_fn, model.params)
+        fd = oracles.finite_diff_grads(loss_fn, model.flat)
         worst = max(worst, oracles.max_rel_error(grads, fd))
     ok = worst < GRAD_TOL
     return CheckResult(

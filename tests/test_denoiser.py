@@ -94,7 +94,7 @@ class TestParams:
     def test_flatten_round_trip(self, tiny_model):
         flat = tiny_model.flatten()
         assert flat.shape == (tiny_model.n_params,)
-        other = ReferenceDenoiser.init(tiny_model.config, seed=99)
+        other = ReferenceDenoiser.init(tiny_model.config, seed=99, dtype=np.float64)
         other.load_flat(flat)
         for k in tiny_model.params:
             assert np.array_equal(other.params[k], tiny_model.params[k])
@@ -102,6 +102,25 @@ class TestParams:
     def test_load_flat_rejects_wrong_size(self, tiny_model):
         with pytest.raises(ValidationError):
             tiny_model.load_flat(np.zeros(tiny_model.n_params + 1))
+
+    def test_params_are_views_of_flat(self, tiny_model):
+        tiny_model.params["in_b"][0] = 7.0
+        assert 7.0 in tiny_model.flat
+        tiny_model.flat[...] = 0.0
+        assert all(np.all(v == 0.0) for v in tiny_model.params.values())
+
+    def test_init_defaults_to_float32(self, tiny_model):
+        f32 = ReferenceDenoiser.init(tiny_model.config, seed=0)
+        assert f32.flat.dtype == np.float32 and tiny_model.flat.dtype == np.float64
+        assert all(v.dtype == np.float32 for v in f32.params.values())
+        assert np.array_equal(f32.flat, tiny_model.flat.astype(np.float32))
+
+    def test_rejects_bad_flat_arrays(self, tiny_model):
+        cfg, n = tiny_model.config, tiny_model.n_params
+        for bad in (np.zeros(n, dtype=np.float16), np.zeros(n + 1), np.zeros((n, 1)), np.zeros(2 * n)[::2],
+                    tiny_model.params):
+            with pytest.raises(ValidationError):
+                ReferenceDenoiser(cfg, bad)
 
     def test_init_is_seeded(self):
         cfg = DenoiserConfig(
@@ -143,8 +162,27 @@ def test_backward_matches_finite_differences(tiny_model):
 
     x0_hat, logits, cache = tiny_model.forward_batch(x, y, t, cond)
     grads = tiny_model.backward_batch(cache, wx, wl)
-    fd = finite_diff_grads(loss_fn, tiny_model.params)
+    fd = finite_diff_grads(loss_fn, tiny_model.flat)
     assert max_rel_error(grads, fd) < 1e-6
+    # each call's gradients land in a new array
+    assert tiny_model.backward_batch(cache, wx, wl) is not grads
+
+
+def test_float32_forward_matches_float64_copy():
+    # the default architecture at the 8x8, K=4 toy shape
+    cfg = DenoiserConfig(shape=ShapeSpec(n_gauss=64, n_cat=64, n_classes=4), n_conds=5)
+    f32 = ReferenceDenoiser.init(cfg, seed=0)
+    f64 = ReferenceDenoiser(cfg, f32.flat.astype(np.float64))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((32, 64))
+    y = rng.integers(1, 5, (32, 64))
+    t = rng.integers(1, 101, 32)
+    cond = rng.integers(-1, 5, 32)
+    x32, l32, _ = f32.forward_batch(x, y, t, cond)
+    x64, l64, _ = f64.forward_batch(x, y, t, cond)
+    assert x32.dtype == l32.dtype == np.float64
+    for a, b in ((x32, x64), (l32, l64)):
+        assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
 
 
 def test_guide_shapes_must_match(tiny_model):

@@ -8,7 +8,10 @@ from gcdp.errors import FormatError, ValidationError
 from gcdp.metrics import EvalReport
 from gcdp.scenes import SceneConfig, generate
 from gcdp.schedules import cosine_schedule
-from gcdp.training import AdamState
+from gcdp.cli import main as cli_main
+from gcdp.sampler import GuidanceConfig, sample_batch
+from gcdp.scenes import dataset_arrays
+from gcdp.training import AdamState, TrainConfig, train
 
 
 @pytest.fixture
@@ -16,14 +19,10 @@ def checkpoint():
     shape = ShapeSpec(n_gauss=4, n_cat=4, n_classes=3)
     cfg = DenoiserConfig(shape=shape, n_conds=2, hidden=8, n_blocks=1, label_emb_dim=2, time_emb_dim=4, cond_emb_dim=2)
     model = ReferenceDenoiser.init(cfg, seed=3)
-    opt = AdamState(model.params)
-    opt.step = 17
     rng = np.random.default_rng(0)
-    for k in opt.m:
-        opt.m[k][...] = np.float32(rng.standard_normal(opt.m[k].shape))
-        opt.v[k][...] = np.float32(rng.random(opt.v[k].shape))
-    # persisted payloads are f32: start from f32-representable params
-    model.load_flat(model.flatten().astype(np.float32).astype(np.float64))
+    opt = AdamState(
+        rng.standard_normal(model.n_params).astype(np.float32), rng.random(model.n_params).astype(np.float32), 17
+    )
     return gio.Checkpoint(
         model=model, sched=cosine_schedule(20), opt=opt, train_steps=123, seed=9, height=2, width=2
     )
@@ -45,8 +44,38 @@ class TestCheckpoint:
         assert ck.train_steps == 123 and ck.seed == 9 and ck.opt.step == 17
         assert ck.height == 2 and ck.width == 2
         assert ck.model.config == checkpoint.model.config
-        assert np.array_equal(ck.model.flatten(), checkpoint.model.flatten())
-        assert np.allclose(ck.sched.beta_gauss, checkpoint.sched.beta_gauss, atol=1e-7)
+        assert ck.model.flat.dtype == np.float32
+        assert np.array_equal(ck.model.flat, checkpoint.model.flat)
+        assert np.array_equal(ck.opt.m, checkpoint.opt.m) and np.array_equal(ck.opt.v, checkpoint.opt.v)
+        assert np.array_equal(ck.sched.beta_gauss, checkpoint.sched.beta_gauss)
+        assert np.array_equal(ck.sched.beta_cat, checkpoint.sched.beta_cat)
+
+    def test_reloaded_model_samples_byte_identically(self, tmp_path):
+        scene = SceneConfig(height=4, width=4, n_classes=3, grammar=("horizon",), seed=2)
+        shape = ShapeSpec(n_gauss=scene.n_pixels, n_cat=scene.n_pixels, n_classes=3)
+        cfg = DenoiserConfig(shape=shape, n_conds=scene.n_conds, hidden=32, n_blocks=2)
+        sched = cosine_schedule(50, p=2.0)
+        model, opt, _ = train(dataset_arrays(generate(scene, 64)), ReferenceDenoiser.init(cfg, seed=1), sched,
+                              TrainConfig(steps=50, batch_size=16, seed=4))
+        path = tmp_path / "model.gcdp"
+        gio.save_checkpoint(path, gio.Checkpoint(model, sched, opt, 50, 4, 4, 4))
+        ck = gio.load_checkpoint(path)
+        conds = np.arange(16) % scene.n_conds
+        guidance = GuidanceConfig(scale=2.0, enabled=True)
+        a = sample_batch(model, sched, conds, guidance, range(1, 51), np.random.default_rng(5))
+        b = sample_batch(ck.model, ck.sched, conds, guidance, range(1, 51), np.random.default_rng(5))
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_version_1_checkpoint_is_rejected(self, checkpoint, tmp_path):
+        blob = bytearray(gio.checkpoint_bytes(checkpoint)[:-4])
+        blob[4:6] = (1).to_bytes(2, "little")
+        w = gio.Writer()
+        w.raw(bytes(blob))
+        path = tmp_path / "old.gcdp"
+        path.write_bytes(w.finish())
+        with pytest.raises(FormatError, match="unsupported format version 1"):
+            gio.load_checkpoint(path)
+        assert cli_main(["sample", "--ckpt", str(path), "--out", str(tmp_path / "s")]) == 2
 
     def test_every_corrupted_byte_is_detected(self, checkpoint):
         blob = bytearray(gio.checkpoint_bytes(checkpoint))

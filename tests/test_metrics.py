@@ -107,6 +107,15 @@ class TestFsd:
             assert abs(fsd(a, a, k)) < 1e-8
             assert d_ab >= -1e-8
 
+    def test_bitwise_symmetric_under_argument_swap(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            mu1, mu2 = rng.standard_normal(k), rng.standard_normal(k)
+            a, b = rng.standard_normal((k, k)), rng.standard_normal((k, k))
+            c1, c2 = a @ a.T + 0.1 * np.eye(k), b @ b.T + 0.1 * np.eye(k)
+            assert frechet_gaussians(mu1, c1, mu2, c2) == frechet_gaussians(mu2, c2, mu1, c1)
+
     def test_needs_two_samples_per_side(self):
         with pytest.raises(ValidationError):
             fsd(np.ones((1, 4), dtype=int), np.ones((5, 4), dtype=int), 2)

@@ -104,7 +104,7 @@ class TestStrided:
                 calls["n"] += 1
                 return super().forward_batch(*a, **k)
 
-        model = Counting(cfg, ReferenceDenoiser.init(cfg, 0).params)
+        model = Counting.init(cfg, 0)
         sched = cosine_schedule(1000)
         rng = np.random.default_rng(3)
         strided_sample(model, sched, None, GuidanceConfig(), default_stride(1000, 100), rng)
@@ -135,6 +135,49 @@ class TestStrided:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="timestep"):
                 ancestral_sample(model, sched, 0, GuidanceConfig(), np.random.default_rng(0))
+
+
+class TestClippedPrediction:
+    def _record_states(self, model):
+        seen = []
+        orig = model.forward_batch
+
+        def wrapper(x, y, t, cond):
+            seen.append(float(np.max(np.abs(x))))
+            return orig(x, y, t, cond)
+
+        model.forward_batch = wrapper
+        return seen
+
+    def test_scaled_up_head_keeps_every_state_bounded(self, setup):
+        model, sched = setup
+        s = model.config.shape
+        model.params["head_x_w"][...] *= 10.0  # unclipped, the chain reaches |x| ~ 1e4
+        seen = self._record_states(model)
+        conds = np.zeros(8, dtype=int)
+        x, _ = sample_batch(model, sched, conds, GuidanceConfig(scale=3.0, enabled=True),
+                            range(1, sched.total_steps + 1), np.random.default_rng(0))
+        assert np.all(np.abs(x) <= 1.0)
+        mask = np.concatenate([np.zeros(s.n_gauss, bool), np.ones(s.n_cat, bool)])
+        known_y = np.ones((8, s.n_cat), dtype=int)
+        x, _ = outpaint_batch(model, sched, np.zeros((8, s.n_gauss)), known_y, mask, 3, conds, GuidanceConfig(),
+                              np.random.default_rng(1))
+        assert np.all(np.abs(x) <= 1.0)
+        assert len(seen) > sched.total_steps and max(seen) < 10.0
+
+    def test_infinite_prediction_still_raises(self, setup):
+        model, sched = setup
+        orig = model.forward_batch
+
+        def inf_image(x, y, t, cond):
+            x0_hat, logits, cache = orig(x, y, t, cond)
+            x0_hat[0, 0] = np.inf
+            return x0_hat, logits, cache
+
+        model.forward_batch = inf_image
+        with pytest.raises(NumericalError, match="non-finite denoiser prediction"):
+            sample_batch(model, sched, np.zeros(2, dtype=int), GuidanceConfig(), [1, sched.total_steps],
+                         np.random.default_rng(0))
 
 
 class TestOutpaint:

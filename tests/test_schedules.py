@@ -65,6 +65,22 @@ class TestPowerCoupled:
             power_coupled(np.array([0.1]), -1.0)
         with pytest.raises(ValidationError):
             power_coupled(np.array([1.5]), 1.0)
+        with pytest.raises(ValidationError):
+            power_coupled(np.array([0.0]), 1.0)
+
+    @pytest.mark.parametrize("total", [100, 1000])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_terminal_bound_holds_for_every_power(self, total, p):
+        sched = cosine_schedule(total, p=p)
+        assert sched.alphabar_cat[-1] < 1e-3
+        assert sched.beta_cat[-1] == 0.999
+
+    @pytest.mark.parametrize("total", [10, 100, 1000])
+    def test_p1_schedule_is_the_clipped_cosine(self, total):
+        sched = cosine_schedule(total, p=1.0)
+        beta = cosine_beta(total)
+        assert np.array_equal(sched.beta_gauss, beta)
+        assert np.array_equal(sched.beta_cat, np.minimum(beta**1.0, 0.999))
 
     def test_larger_p_weakens_noise_pointwise(self):
         rng = np.random.default_rng(0)

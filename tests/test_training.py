@@ -25,7 +25,7 @@ def toy_problem(seed=0, n=16):
     rng = np.random.default_rng(seed)
     shape = ShapeSpec(n_gauss=2, n_cat=1, n_classes=2)
     cfg = DenoiserConfig(shape=shape, n_conds=1, hidden=8, n_blocks=1, label_emb_dim=2, time_emb_dim=4, cond_emb_dim=2)
-    model = ReferenceDenoiser.init(cfg, seed=seed)
+    model = ReferenceDenoiser.init(cfg, seed=seed, dtype=np.float64)
     sched = NoiseSchedule(
         beta_gauss=rng.uniform(0.1, 0.6, 8), beta_cat=rng.uniform(0.1, 0.6, 8), check_terminal=False
     )
@@ -126,7 +126,7 @@ class TestVlbLoss:
                 return vlb_loss(x, y, c, model, sched, np.random.default_rng(seed), cond_dropout=0.25, mode=mode)[0]
 
             _, grads, _ = vlb_loss(x, y, c, model, sched, np.random.default_rng(seed), cond_dropout=0.25, mode=mode)
-            worst = max(worst, max_rel_error(grads, finite_diff_grads(loss_fn, model.params)))
+            worst = max(worst, max_rel_error(grads, finite_diff_grads(loss_fn, model.flat)))
         assert worst < 1e-4
 
     def test_lambda_cat_scales_categorical_part(self):
@@ -228,15 +228,42 @@ class TestTrain:
 
 
 def test_adam_bias_correction_first_step():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([0.5])}
-    st = AdamState(params)
+    params = np.array([1.0])
+    grads = np.array([0.5])
+    st = AdamState.zeros(params)
     adam_lr = 0.1
     from gcdp.training import adam_update
 
     adam_update(params, grads, st, adam_lr)
     # first step moves by ~lr * sign(grad) regardless of magnitude
-    assert params["w"][0] == pytest.approx(1.0 - adam_lr * 0.5 / (0.5 + 1e-8), abs=1e-12)
+    assert params[0] == pytest.approx(1.0 - adam_lr * 0.5 / (0.5 + 1e-8), abs=1e-12)
+
+
+def reference_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference Adam step, one expression per array."""
+    m[...] = beta1 * m + (1.0 - beta1) * grads
+    v[...] = beta2 * v + (1.0 - beta2) * grads * grads
+    params -= lr * (m / (1.0 - beta1**step)) / (np.sqrt(v / (1.0 - beta2**step)) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_blocked_adam_matches_reference_across_blocks(dtype):
+    from gcdp.training import ADAM_BLOCK, adam_update
+
+    rng = np.random.default_rng(8)
+    n = 2 * ADAM_BLOCK + 17  # two full blocks and a partial one
+    params = rng.standard_normal(n).astype(dtype)
+    ref = params.astype(np.float64)
+    st = AdamState.zeros(params)
+    m, v = np.zeros(n), np.zeros(n)
+    for step in range(1, 4):
+        grads = rng.standard_normal(n).astype(dtype)
+        adam_update(params, grads, st, 1e-2)
+        reference_adam_step(ref, grads.astype(np.float64), m, v, step, 1e-2)
+        assert params.dtype == dtype and st.m.dtype == dtype
+        assert st.step == step
+        # a few roundings of the parameters' magnitude in their own dtype
+        assert np.max(np.abs(params - ref)) <= 8 * np.finfo(dtype).eps * np.max(np.abs(ref))
 
 
 def test_softmax_rows_sum_to_one():
