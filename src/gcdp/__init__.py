@@ -7,7 +7,7 @@ layout-aware evaluation metrics."""
 from .distribution import FactorizedGCParams, JointSample, ShapeSpec
 from .denoiser import DenoiserConfig, DenoiserInput, DenoiserOutput, ReferenceDenoiser
 from .process import PosteriorParams, posterior_params, q_marginal_params, q_step
-from .sampler import GuidanceConfig, OutpaintSpec, ancestral_sample, guide_predictions, outpaint, strided_sample
+from .sampler import GuidanceConfig, OutpaintSpec, ancestral_sample, outpaint, strided_sample
 from .scenes import SceneConfig, SceneSample, generate, oracle_segment
 from .schedules import NoiseSchedule, accumulate, cosine_schedule, power_coupled
 from .training import TrainConfig, train, vlb_loss
@@ -27,7 +27,6 @@ __all__ = [
     "GuidanceConfig",
     "OutpaintSpec",
     "ancestral_sample",
-    "guide_predictions",
     "outpaint",
     "strided_sample",
     "SceneConfig",

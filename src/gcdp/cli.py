@@ -22,7 +22,7 @@ from . import io as gio
 from .denoiser import DenoiserConfig, ReferenceDenoiser
 from .distribution import ShapeSpec
 from .errors import NumericalError, UsageError, ValidationError
-from .metrics import EvalReport, fsd, joint_tv, miou, semantic_f
+from .metrics import EvalReport, fsd, joint_tv, miou, semantic_f, semantic_precision, semantic_recall
 from .sampler import GuidanceConfig, default_stride, outpaint_batch, sample_batch
 from .scenes import SceneConfig, dataset_arrays, generate, oracle_segment
 from .schedules import cosine_schedule
@@ -218,10 +218,10 @@ def cmd_train(cfg: dict) -> int:
         seed=cfg["seed"],
         log_every=cfg["log_every"],
     )
-    model, opt, trace = train(data, model, sched, tc)
+    model, _, trace = train(data, model, sched, tc)
     out = _out_dir(cfg, "train")
     ck = gio.Checkpoint(
-        model=model, sched=sched, opt=opt, train_steps=cfg["steps"], seed=cfg["seed"],
+        model=model, sched=sched, train_steps=cfg["steps"], seed=cfg["seed"],
         height=scene.height, width=scene.width,
     )
     gio.save_checkpoint(out / "model.gcdp", ck)
@@ -318,21 +318,11 @@ def evaluate_samples(
     except ValidationError:
         tv = float("nan")
     if np.all(conds >= 0):
-        recalls, precisions, recalls_layout = [], [], []
-        hits: dict[int, list[bool]] = {}
-        for i in range(n):
-            gt = set(scene.class_sets[conds[i]])
-            det = {int(c) for c in np.unique(seg[i])}
-            det_lay = {int(c) for c in np.unique(layouts[i])}
-            recalls.append(len(det & gt) / len(gt))
-            recalls_layout.append(len(det_lay & gt) / len(gt))
-            precisions.append(len(det & gt) / len(det))
-            for c in gt:
-                hits.setdefault(c, []).append(c in det)
-        recall = float(np.mean(recalls))
-        precision = float(np.mean(precisions))
-        table = {c: float(np.mean(v)) for c, v in sorted(hits.items())}
-        recall_layout = float(np.mean(recalls_layout))
+        # seg and the layouts are label maps already: np.asarray segments them as they are
+        gts = [scene.class_sets[c] for c in conds]
+        recall, table = semantic_recall(list(zip(seg, gts)), np.asarray)
+        precision = semantic_precision(list(zip(seg, gts)), np.asarray)
+        recall_layout, _ = semantic_recall(list(zip(layouts, gts)), np.asarray)
     else:
         recall = precision = recall_layout = float("nan")
         table = {}

@@ -7,11 +7,12 @@ for label data, and a trailing CRC-32 over every preceding byte. Readers
 verify the checksum before parsing and report malformed content with the
 byte offset and field name.
 
-Checkpoints (format version 2) store both noise schedules as 64-bit
-floats and the flat parameter and optimizer arrays as 32-bit floats, the
-dtype the denoiser trains in, so a loaded checkpoint reproduces the saved
-float32 model exactly. Loading builds the model directly on the stored
-arrays. Datasets and masks keep format version 1.
+Checkpoints (format version 3) store both noise schedules as 64-bit
+floats and the flat parameter array as 32-bit floats, the dtype the
+denoiser trains in, so a loaded checkpoint reproduces the saved float32
+model exactly. Loading builds the model directly on the stored array. No
+optimizer state is stored: every training run starts from fresh Adam
+moments. Datasets and masks keep format version 1.
 
 Images are exported as binary PGM (P5, maxval 255) with pixel values
 mapped linearly from [-1, 1]; layouts as P5 with the pixel value equal to
@@ -33,13 +34,12 @@ from .errors import FormatError, ValidationError
 from .metrics import EvalReport
 from .scenes import SCENE_TYPES, SceneConfig, SceneSample
 from .schedules import NoiseSchedule
-from .training import AdamState
 
 CHECKPOINT_MAGIC = b"GCDP"
 DATASET_MAGIC = b"GCDS"
 MASK_MAGIC = b"GCMK"
 FORMAT_VERSION = 1  # datasets and masks
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class Writer:
@@ -167,11 +167,10 @@ def _checked_payload(data: bytes, name: str) -> bytes:
 
 @dataclass
 class Checkpoint:
-    """Self-describing training state; loadable without the source config."""
+    """Self-describing trained model; loadable without the source config."""
 
     model: ReferenceDenoiser
     sched: NoiseSchedule
-    opt: AdamState
     train_steps: int
     seed: int
     height: int
@@ -195,9 +194,6 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
     w.u32(ck.height)
     w.u32(ck.width)
     w.f32_array(ck.model.flat)
-    w.f32_array(ck.opt.m)
-    w.f32_array(ck.opt.v)
-    w.u64(ck.opt.step)
     w.u64(ck.train_steps)
     w.u64(ck.seed)
     return w.finish()
@@ -234,15 +230,10 @@ def checkpoint_from_bytes(data: bytes, name: str = "checkpoint") -> Checkpoint:
             field="params",
         )
     model = ReferenceDenoiser(cfg, flat)
-    m = r.f32_array("opt.m")
-    v = r.f32_array("opt.v")
-    if m.size != n_params or v.size != n_params:
-        raise FormatError(f"{name}: optimizer state size mismatch", offset=r.off, field="opt")
-    opt = AdamState(m, v, r.u64("opt.step"))
     train_steps = r.u64("train_steps")
     seed = r.u64("seed")
     r.done()
-    return Checkpoint(model, sched, opt, train_steps, seed, height, width)
+    return Checkpoint(model, sched, train_steps, seed, height, width)
 
 
 def save_checkpoint(path, ck: Checkpoint):

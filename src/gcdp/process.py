@@ -20,7 +20,12 @@ where theta_0 is the one-hot of y_0, or a predicted PMF over y_0 inserted
 in its place (the expectation of the one-hot posterior, renormalized).
 These orientations are the ones consistent with the one-step kernel at
 t = 1 and with brute-force Bayes enumeration; the posterior module is
-oracle-checked against both.
+oracle-checked against both, on random schedules and on every step of
+cosine_schedule(1000, p) for p in {1, 3}.
+
+This module is the one implementation of the posterior: the training loss
+and bound terms call gauss_posterior_coeffs and cat_posterior_theta with
+per-item timestep arrays, and the sampler calls posterior_arrays.
 
 All functions accept leading batch axes on the array arguments; the
 JointSample wrappers are the single-sample surface.
@@ -33,6 +38,7 @@ from .errors import ValidationError
 from .schedules import NoiseSchedule
 
 DENOM_FLOOR = 1e-12
+NORM_FLOOR = np.finfo(np.float64).tiny
 
 # The posterior of a factorized joint is itself factorized; no extra fields.
 PosteriorParams = FactorizedGCParams
@@ -85,34 +91,45 @@ def q_marginal_arrays(
     return mu, var, theta
 
 
-def gauss_posterior_coeffs(t: int, s: int, sched: NoiseSchedule) -> tuple[float, float, float]:
+def gauss_posterior_coeffs(
+    t: int | np.ndarray, s: int | np.ndarray, sched: NoiseSchedule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c0, ct, var) with posterior mean c0 * x0_hat + ct * x_t for the
     transition t -> s, s < t. The stride collapses the skipped steps into
     one effective step with retention abar_t / abar_s; s = t-1 recovers the
-    one-step coefficients."""
-    abar_t = sched.abar_gauss(t)
-    abar_s = sched.abar_gauss(s)
+    one-step coefficients. t and s are ints or equal-shape int arrays; the
+    coefficients take their shape."""
+    abar = np.concatenate(([1.0], sched.alphabar_gauss))
+    abar_t, abar_s = abar[t], abar[s]
     alpha_eff = abar_t / abar_s
     beta_eff = 1.0 - alpha_eff
-    denom = max(1.0 - abar_t, DENOM_FLOOR)
+    denom = np.maximum(1.0 - abar_t, DENOM_FLOOR)
     c0 = np.sqrt(abar_s) * beta_eff / denom
     ct = np.sqrt(alpha_eff) * (1.0 - abar_s) / denom
     var = (1.0 - abar_s) * beta_eff / denom
-    return float(c0), float(ct), float(var)
+    return c0, ct, var
 
 
 def cat_posterior_theta(
-    theta0: np.ndarray, y_t: np.ndarray, alpha_eff: float, abar_s: float, n_classes: int
+    theta0: np.ndarray,
+    y_t: np.ndarray,
+    alpha_eff: float | np.ndarray,
+    abar_s: float | np.ndarray,
+    n_classes: int,
 ) -> np.ndarray:
     """Normalized elementwise product of the likelihood and prior factors.
 
     theta0: (..., M, K) PMF over the clean labels (one-hot or predicted);
-    y_t: (..., M) 1-based observed labels.
+    y_t: (..., M) 1-based observed labels; alpha_eff and abar_s are floats
+    or arrays that broadcast against theta0, such as (B, 1, 1) per item.
+    The unnormalized sum can be far below 1e-12 (about 1e-13 at small t of
+    cosine_schedule(1000, p=3)), so the normalizer is floored only at the
+    smallest normal float, which guards against 0/0 and nothing else.
     """
     like = alpha_eff * one_hot(y_t, n_classes) + (1.0 - alpha_eff) / n_classes
     prior = abar_s * theta0 + (1.0 - abar_s) / n_classes
     unnorm = like * prior
-    z = np.maximum(unnorm.sum(axis=-1, keepdims=True), DENOM_FLOOR)
+    z = np.maximum(unnorm.sum(axis=-1, keepdims=True), NORM_FLOOR)
     return unnorm / z
 
 

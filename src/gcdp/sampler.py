@@ -21,14 +21,17 @@ their closed-form marginal at t-1, draw the unknown coordinates from the
 model posterior, splice by mask, and (except on the last inner iteration,
 and never at t = 1) push the spliced state forward one step}. At t = 1
 the known-region draw is the clean sample itself, so known coordinates of
-the output are bit-exact.
+the output are bit-exact. Sampling and outpainting run one reverse loop;
+outpainting adds the splice and the re-noising, and visits every step
+because the re-noising is the one-step forward kernel. An all-unknown mask
+is plain ancestral sampling.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserOutput, ReferenceDenoiser
+from .denoiser import ReferenceDenoiser
 from .distribution import JointSample, sample_rows
 from .errors import NumericalError, ValidationError
 from .process import posterior_arrays, q_marginal_arrays, q_step_arrays
@@ -63,23 +66,6 @@ class OutpaintSpec:
             raise ValidationError("resample_n must be >= 1")
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-
-
-def guide_predictions(out_cond: DenoiserOutput, out_uncond: DenoiserOutput, w: float) -> DenoiserOutput:
-    """x <- x_u + w (x_c - x_u), same rule on the label logits.
-
-    w = 1 returns the conditional output exactly and w = 0 the
-    unconditional one (no float cancellation at the endpoints)."""
-    if out_cond.x0_hat.shape != out_uncond.x0_hat.shape or out_cond.theta0_logits.shape != out_uncond.theta0_logits.shape:
-        raise ValidationError("guided outputs must have matching shapes")
-    if w == 1.0:
-        return out_cond
-    if w == 0.0:
-        return out_uncond
-    return DenoiserOutput(
-        x0_hat=out_uncond.x0_hat + w * (out_cond.x0_hat - out_uncond.x0_hat),
-        theta0_logits=out_uncond.theta0_logits + w * (out_cond.theta0_logits - out_uncond.theta0_logits),
-    )
 
 
 def _predict(
@@ -129,6 +115,64 @@ def default_stride(total_steps: int, n_steps: int) -> list[int]:
     return [int(v) for v in pts]
 
 
+def _draw(mu: np.ndarray, var: float, theta: np.ndarray, rng: np.random.Generator):
+    """One draw of the factorized law N(mu, var) x C(theta): image noise,
+    then label uniforms."""
+    x = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+    return x, sample_rows(theta, rng.random(theta.shape[:-1]))
+
+
+def _reverse_chain(
+    model: ReferenceDenoiser,
+    sched: NoiseSchedule,
+    conds: np.ndarray,
+    guidance: GuidanceConfig,
+    steps: list[int],
+    rng: np.random.Generator,
+    known: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    resample_n: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reverse chain over the ascending `steps`, from pure noise.
+
+    Each visited t moves to the next visited s < t by the model posterior;
+    the last visited step emits the decoder mode. known, when given, is
+    (known_x, known_y, mask) with a mask over the N image entries followed
+    by the M label positions: every transition then splices in the known
+    coordinates drawn from their marginal at s (the clean values at the
+    end), and all but the last of resample_n iterations re-noise the
+    spliced state one step forward, so outpainting must visit every step.
+    """
+    shape = model.config.shape
+    n_cls = shape.n_classes
+    batch = conds.shape[0]
+    x = rng.standard_normal((batch, shape.n_gauss))
+    uniform = np.full((batch, shape.n_cat, n_cls), 1.0 / n_cls)
+    y = sample_rows(uniform, rng.random((batch, shape.n_cat)))
+    desc = steps[::-1]
+    for t, s in zip(desc, desc[1:] + [0]):
+        inner = resample_n if known is not None and s > 0 else 1
+        for it in range(inner):
+            if known is not None:
+                xk, yk, mask = known
+                if s > 0:
+                    xk, yk = _draw(*q_marginal_arrays(xk, yk, s, sched, n_cls), rng)
+            x0_hat, theta0 = _predict(model, x, y, t, conds, guidance)
+            if s > 0:
+                x_next, y_next = _draw(*posterior_arrays(x0_hat, theta0, x, y, t, s, sched, n_cls), rng)
+            else:
+                x_next, y_next = x0_hat, np.argmax(theta0, axis=-1) + 1
+            if known is not None:
+                x_next = np.where(mask[None, : shape.n_gauss], xk, x_next)
+                y_next = np.where(mask[None, shape.n_gauss :], yk, y_next)
+            if it < inner - 1:
+                x, y = q_step_arrays(x_next, y_next, t, sched, rng, n_cls)
+            else:
+                x, y = x_next, y_next
+        if not np.all(np.isfinite(x)):
+            raise NumericalError(f"non-finite image state at timestep {s}")
+    return x, y
+
+
 def sample_batch(
     model: ReferenceDenoiser,
     sched: NoiseSchedule,
@@ -143,27 +187,8 @@ def sample_batch(
     generator is consumed in a fixed order: init image noise, init label
     uniforms, then per transition image noise and label uniforms.
     """
-    shape = model.config.shape
     steps = _validate_steps(steps, sched.total_steps)
-    conds = np.asarray(conds, dtype=np.int64)
-    batch = conds.shape[0]
-    x = rng.standard_normal((batch, shape.n_gauss))
-    uniform = np.full((batch, shape.n_cat, shape.n_classes), 1.0 / shape.n_classes)
-    y = sample_rows(uniform, rng.random((batch, shape.n_cat)))
-    desc = steps[::-1]
-    for i, t in enumerate(desc):
-        x0_hat, theta0 = _predict(model, x, y, t, conds, guidance)
-        if i < len(desc) - 1:
-            s = desc[i + 1]
-            mu, var, theta = posterior_arrays(x0_hat, theta0, x, y, t, s, sched, shape.n_classes)
-            x = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-            y = sample_rows(theta, rng.random(y.shape))
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(f"non-finite image state at timestep {s}")
-        else:
-            x = x0_hat
-            y = np.argmax(theta0, axis=-1) + 1
-    return x, y
+    return _reverse_chain(model, sched, np.asarray(conds, dtype=np.int64), guidance, steps, rng)
 
 
 def strided_sample(
@@ -204,48 +229,16 @@ def outpaint_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resampled outpainting of a batch sharing one known-coordinate mask."""
     shape = model.config.shape
-    n, m = shape.n_gauss, shape.n_cat
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n + m,):
+    if mask.shape != (shape.n_gauss + shape.n_cat,):
         raise ValidationError("mask length must be N + M")
     if resample_n < 1:
         raise ValidationError("resample_n must be >= 1")
-    conds = np.asarray(conds, dtype=np.int64)
-    if not mask.any():
-        return sample_batch(model, sched, conds, guidance, range(1, sched.total_steps + 1), rng)
     if mask.all():
         return known_x.copy(), known_y.copy()
-    mx, my = mask[:n], mask[n:]
-    batch = conds.shape[0]
-    x = rng.standard_normal((batch, n))
-    uniform = np.full((batch, m, shape.n_classes), 1.0 / shape.n_classes)
-    y = sample_rows(uniform, rng.random((batch, m)))
-    for t in range(sched.total_steps, 0, -1):
-        inner = resample_n if t > 1 else 1
-        for it in range(inner):
-            if t == 1:
-                xk, yk = known_x, known_y
-            else:
-                mu, var, theta = q_marginal_arrays(known_x, known_y, t - 1, sched, shape.n_classes)
-                xk = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-                yk = sample_rows(theta, rng.random(known_y.shape))
-            x0_hat, theta0 = _predict(model, x, y, t, conds, guidance)
-            if t >= 2:
-                mu, var, theta = posterior_arrays(x0_hat, theta0, x, y, t, t - 1, sched, shape.n_classes)
-                xu = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-                yu = sample_rows(theta, rng.random(y.shape))
-            else:
-                xu = x0_hat
-                yu = np.argmax(theta0, axis=-1) + 1
-            x_next = np.where(mx[None, :], xk, xu)
-            y_next = np.where(my[None, :], yk, yu)
-            if it < inner - 1:
-                x, y = q_step_arrays(x_next, y_next, t, sched, rng, shape.n_classes)
-            else:
-                x, y = x_next, y_next
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite image state at timestep {t}")
-    return x, y
+    known = (known_x, known_y, mask) if mask.any() else None
+    steps = list(range(1, sched.total_steps + 1))
+    return _reverse_chain(model, sched, np.asarray(conds, dtype=np.int64), guidance, steps, rng, known, resample_n)
 
 
 def outpaint(

@@ -14,10 +14,13 @@ z_t from the closed-form marginal, then charges the model:
            extended to +-inf, per-bin mass clamped at 1e-12) with variance
            beta^N_1, plus the label cross entropy under theta0_hat.
 
-Gradients are assembled by hand: closed-form derivatives of the loss with
-respect to (x0_hat, logits) are pushed through the network's hand-written
-backward pass. A "simple" mode (mean-squared error plus cross entropy)
-exists for ablation.
+Both t >= 2 parts are the KL between the posterior that `process` builds
+from the clean sample and the one it builds from the prediction; one
+function, `bound_terms`, gives every per-item term for the batch loss and
+for the per-t bound of `vlb_terms`. Gradients are assembled by hand:
+closed-form derivatives of the loss with respect to (x0_hat, logits) are
+pushed through the network's hand-written backward pass. A "simple" mode
+(mean-squared error plus cross entropy) exists for ablation.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from scipy.special import ndtr
 from .denoiser import ReferenceDenoiser
 from .distribution import JointSample, sample_rows
 from .errors import NumericalError, ValidationError
-from .process import DENOM_FLOOR, marginal_theta, one_hot
+from .process import cat_posterior_theta, gauss_posterior_coeffs, marginal_theta, one_hot
 from .schedules import NoiseSchedule
 
 N_BINS = 256
@@ -62,6 +65,12 @@ def discretized_gauss_loglik(x0: np.ndarray, mu: np.ndarray, sigma: float):
     return np.log(clamped), grad
 
 
+def _label_nll(theta: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Per-item -sum_i log theta[i, y0_i] of (B, M, K) PMFs at (B, M) labels."""
+    picked = np.take_along_axis(theta, (y0 - 1)[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(picked, 1e-300)).sum(axis=1)
+
+
 def _softmax_backward(theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
     inner = (dtheta * theta).sum(axis=-1, keepdims=True)
     return theta * (dtheta - inner)
@@ -72,9 +81,70 @@ class LossBreakdown:
     gauss: float
     cat: float
 
-    @property
-    def total(self) -> float:
-        return self.gauss + self.cat
+
+def bound_terms(
+    x0: np.ndarray,
+    y0: np.ndarray,
+    y_t: np.ndarray,
+    t: np.ndarray,
+    x0_hat: np.ndarray,
+    theta0_hat: np.ndarray,
+    sched: NoiseSchedule,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-item bound terms at timesteps t (B,), with their derivatives.
+
+    Returns (gauss (B,), cat (B,), d gauss / d x0_hat (B, N),
+    d cat / d logits (B, M, K)). For t >= 2 the two parts are the KL
+    between the posteriors over z_{t-1} that process.gauss_posterior_coeffs
+    and process.cat_posterior_theta build from the clean sample and from
+    the prediction; for t == 1 they are the decoder term.
+    """
+    n_cls = theta0_hat.shape[-1]
+    loss_g = np.empty(t.shape[0])
+    loss_c = np.empty(t.shape[0])
+    dx0_hat = np.empty_like(x0_hat)
+    dlogits = np.empty_like(theta0_hat)
+
+    m2 = t >= 2
+    if np.any(m2):
+        ts = t[m2]
+        c0, _, var = gauss_posterior_coeffs(ts, ts - 1, sched)
+        w = c0 * c0 / (2.0 * var)
+        diff = x0_hat[m2] - x0[m2]
+        loss_g[m2] = w * (diff * diff).sum(axis=1)
+        dx0_hat[m2] = (2.0 * w)[:, None] * diff
+
+        alpha = sched.alpha_cat[ts - 1][:, None, None]
+        abar_s = sched.alphabar_cat[ts - 2][:, None, None]
+        theta = theta0_hat[m2]
+        target = cat_posterior_theta(one_hot(y0[m2], n_cls), y_t[m2], alpha, abar_s, n_cls)
+        post = cat_posterior_theta(theta, y_t[m2], alpha, abar_s, n_cls)
+        loss_c[m2] = (target * (np.log(target) - np.log(post))).sum(axis=(1, 2))
+        # post depends on theta through the prior factor g alone
+        g = abar_s * theta + (1.0 - abar_s) / n_cls
+        dlogits[m2] = _softmax_backward(theta, abar_s * (post - target) / g)
+
+    m1 = ~m2
+    if np.any(m1):
+        sigma1 = float(np.sqrt(sched.beta_gauss[0]))
+        ll, dll = discretized_gauss_loglik(x0[m1], x0_hat[m1], sigma1)
+        loss_g[m1] = -ll.sum(axis=1)
+        dx0_hat[m1] = -dll
+        loss_c[m1] = _label_nll(theta0_hat[m1], y0[m1])
+        dlogits[m1] = theta0_hat[m1] - one_hot(y0[m1], n_cls)
+    return loss_g, loss_c, dx0_hat, dlogits
+
+
+def _noise(
+    x0: np.ndarray, y0: np.ndarray, t: np.ndarray, sched: NoiseSchedule, rng: np.random.Generator, n_classes: int
+):
+    """z_t ~ q(z_t | z_0) per item at timesteps t; draws image noise, then
+    label uniforms."""
+    abar_n = sched.alphabar_gauss[t - 1][:, None]
+    x_t = np.sqrt(abar_n) * x0 + np.sqrt(1.0 - abar_n) * rng.standard_normal(x0.shape)
+    theta_t = marginal_theta(y0, sched.alphabar_cat[t - 1][:, None, None], n_classes)
+    y_t = sample_rows(theta_t, rng.random(y0.shape))
+    return x_t, y_t
 
 
 def vlb_loss(
@@ -104,77 +174,25 @@ def vlb_loss(
     if batch == 0:
         raise ValidationError("batch must be nonempty")
     shape = model.config.shape
-    n_cls = shape.n_classes
-    big_t = sched.total_steps
 
-    t = rng.integers(1, big_t + 1, size=batch)
-    abar_n = sched.alphabar_gauss[t - 1]
-    x_t = np.sqrt(abar_n)[:, None] * x0 + np.sqrt(1.0 - abar_n)[:, None] * rng.standard_normal(x0.shape)
-    abar_c = sched.alphabar_cat[t - 1]
-    theta_t = abar_c[:, None, None] * one_hot(y0, n_cls) + (1.0 - abar_c[:, None, None]) / n_cls
-    y_t = sample_rows(theta_t, rng.random(y0.shape))
+    t = rng.integers(1, sched.total_steps + 1, size=batch)
+    x_t, y_t = _noise(x0, y0, t, sched, rng, shape.n_classes)
     dropped = rng.random(batch) < cond_dropout
     cond_in = np.where(dropped, -1, np.asarray(cond, dtype=np.int64))
 
     x0_hat, logits, cache = model.forward_batch(x_t, y_t, t, cond_in)
     theta0_hat = softmax(logits)
 
-    dx0_hat = np.zeros_like(x0_hat)
-    dtheta0 = np.zeros_like(theta0_hat)
-    dlogits_direct = np.zeros_like(logits)
-    loss_g = np.zeros(batch)
-    loss_c = np.zeros(batch)
-
     if mode == "simple":
         diff = x0_hat - x0
         loss_g = (diff * diff).sum(axis=1) / shape.n_gauss
         dx0_hat = 2.0 * diff / shape.n_gauss
-        sel = np.arange(shape.n_cat)
-        picked = theta0_hat[np.arange(batch)[:, None], sel[None, :], y0 - 1]
-        loss_c = -np.log(np.maximum(picked, 1e-300)).sum(axis=1) / shape.n_cat
-        dlogits_direct = (theta0_hat - one_hot(y0, n_cls)) / shape.n_cat
+        loss_c = _label_nll(theta0_hat, y0) / shape.n_cat
+        dlogits = (theta0_hat - one_hot(y0, shape.n_classes)) / shape.n_cat
     else:
-        m2 = t >= 2
-        if np.any(m2):
-            ts = t[m2]
-            abar_tv = sched.alphabar_gauss[ts - 1]
-            abar_pv = sched.alphabar_gauss[ts - 2]
-            beta_v = sched.beta_gauss[ts - 1]
-            denom = np.maximum(1.0 - abar_tv, DENOM_FLOOR)
-            c0 = np.sqrt(abar_pv) * beta_v / denom
-            var = np.maximum((1.0 - abar_pv) * beta_v / denom, DENOM_FLOOR)
-            w = c0 * c0 / (2.0 * var)
-            diff = x0_hat[m2] - x0[m2]
-            loss_g[m2] = w * (diff * diff).sum(axis=1)
-            dx0_hat[m2] = (2.0 * w)[:, None] * diff
+        loss_g, loss_c, dx0_hat, dlogits = bound_terms(x0, y0, y_t, t, x0_hat, theta0_hat, sched)
 
-            alpha_cv = sched.alpha_cat[ts - 1][:, None, None]
-            abar_cpv = sched.alphabar_cat[ts - 2][:, None, None]
-            like = alpha_cv * one_hot(y_t[m2], n_cls) + (1.0 - alpha_cv) / n_cls
-            target = like * (abar_cpv * one_hot(y0[m2], n_cls) + (1.0 - abar_cpv) / n_cls)
-            target /= target.sum(axis=-1, keepdims=True)
-            g = abar_cpv * theta0_hat[m2] + (1.0 - abar_cpv) / n_cls
-            u = like * g
-            z = u.sum(axis=-1, keepdims=True)
-            post = u / z
-            loss_c[m2] = (target * (np.log(target) - np.log(post))).sum(axis=(1, 2))
-            dtheta0[m2] = abar_cpv * like * (1.0 - target / post) / z
-
-        m1 = ~m2
-        if np.any(m1):
-            sigma1 = float(np.sqrt(sched.beta_gauss[0]))
-            ll, dll = discretized_gauss_loglik(x0[m1], x0_hat[m1], sigma1)
-            loss_g[m1] = -ll.sum(axis=1)
-            dx0_hat[m1] = -dll
-            sub = theta0_hat[m1]
-            rows = np.arange(sub.shape[0])[:, None]
-            cols = np.arange(shape.n_cat)[None, :]
-            picked = sub[rows, cols, y0[m1] - 1]
-            loss_c[m1] = -np.log(np.maximum(picked, 1e-300)).sum(axis=1)
-            dlogits_direct[m1] = sub - one_hot(y0[m1], n_cls)
-
-    dlogits = (_softmax_backward(theta0_hat, dtheta0) + dlogits_direct) * (lambda_cat / batch)
-    grads = model.backward_batch(cache, dx0_hat / batch, dlogits)
+    grads = model.backward_batch(cache, dx0_hat / batch, dlogits * (lambda_cat / batch))
     loss = float((loss_g + lambda_cat * loss_c).mean())
     if not np.isfinite(loss):
         raise NumericalError(
@@ -206,46 +224,19 @@ def vlb_terms(
     """Single-draw estimates of every bound term, [L_0, ..., L_{T-1}, L_T].
 
     The full bound is the sum of the returned array; the final entry is
-    the parameter-free prior term.
+    the parameter-free prior term. One forward pass covers all T steps, and
+    the generator gives the image noise of every step, then the label
+    uniforms of every step.
     """
     big_t = sched.total_steps
     n_cls = model.config.shape.n_classes
-    terms = np.zeros(big_t + 1)
-    x0 = z0.x[None, :]
-    y0 = z0.y[None, :]
-    for t in range(1, big_t + 1):
-        abar_n = sched.abar_gauss(t)
-        x_t = np.sqrt(abar_n) * x0 + np.sqrt(1.0 - abar_n) * rng.standard_normal(x0.shape)
-        theta_t = marginal_theta(y0, sched.abar_cat(t), n_cls)
-        y_t = sample_rows(theta_t, rng.random(y0.shape))
-        x0_hat, logits, _ = model.forward_batch(x_t, y_t, np.array([t]), np.array([cond]))
-        theta0_hat = softmax(logits)
-        if t == 1:
-            sigma1 = float(np.sqrt(sched.beta_gauss[0]))
-            ll, _ = discretized_gauss_loglik(x0, x0_hat, sigma1)
-            picked = theta0_hat[0, np.arange(y0.shape[1]), y0[0] - 1]
-            terms[0] = -ll.sum() - lambda_cat * np.log(np.maximum(picked, 1e-300)).sum()
-        else:
-            abar_tv = float(sched.alphabar_gauss[t - 1])
-            abar_pv = float(sched.alphabar_gauss[t - 2])
-            beta_v = float(sched.beta_gauss[t - 1])
-            denom = max(1.0 - abar_tv, DENOM_FLOOR)
-            c0 = np.sqrt(abar_pv) * beta_v / denom
-            var = max((1.0 - abar_pv) * beta_v / denom, DENOM_FLOOR)
-            w = c0 * c0 / (2.0 * var)
-            gauss = w * ((x0_hat - x0) ** 2).sum()
-            alpha_cv = float(sched.alpha_cat[t - 1])
-            abar_cpv = float(sched.alphabar_cat[t - 2])
-            like = alpha_cv * one_hot(y_t, n_cls) + (1.0 - alpha_cv) / n_cls
-            target = like * (abar_cpv * one_hot(y0, n_cls) + (1.0 - abar_cpv) / n_cls)
-            target /= target.sum(axis=-1, keepdims=True)
-            g = abar_cpv * theta0_hat + (1.0 - abar_cpv) / n_cls
-            u = like * g
-            post = u / u.sum(axis=-1, keepdims=True)
-            cat = (target * (np.log(target) - np.log(post))).sum()
-            terms[t - 1] = gauss + lambda_cat * cat
-    terms[big_t] = prior_term(z0, sched, n_cls)
-    return terms
+    t = np.arange(1, big_t + 1)
+    x0 = np.broadcast_to(z0.x, (big_t, z0.x.shape[0]))
+    y0 = np.broadcast_to(z0.y, (big_t, z0.y.shape[0]))
+    x_t, y_t = _noise(x0, y0, t, sched, rng, n_cls)
+    x0_hat, logits, _ = model.forward_batch(x_t, y_t, t, np.full(big_t, cond))
+    loss_g, loss_c, _, _ = bound_terms(x0, y0, y_t, t, x0_hat, softmax(logits), sched)
+    return np.append(loss_g + lambda_cat * loss_c, prior_term(z0, sched, n_cls))
 
 
 @dataclass
@@ -323,9 +314,9 @@ def train(
     model: ReferenceDenoiser,
     sched: NoiseSchedule,
     cfg: TrainConfig,
-    opt: AdamState | None = None,
 ) -> tuple[ReferenceDenoiser, AdamState, list[tuple[int, float]]]:
-    """Run cfg.steps optimizer steps; deterministic given cfg.seed.
+    """Run cfg.steps optimizer steps from fresh Adam moments; deterministic
+    given cfg.seed.
 
     data is (images (n, N), labels (n, M), conditions (n,)). Returns the
     model (updated in place), the optimizer state, and the loss trace
@@ -335,8 +326,7 @@ def train(
     n = x_all.shape[0]
     if n == 0:
         raise ValidationError("dataset must be nonempty")
-    if opt is None:
-        opt = AdamState.zeros(model.flat)
+    opt = AdamState.zeros(model.flat)
     rng = np.random.default_rng(cfg.seed)
     trace: list[tuple[int, float]] = []
     for step in range(cfg.steps):

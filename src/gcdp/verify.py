@@ -16,7 +16,6 @@ from . import oracles
 from .denoiser import DenoiserConfig, ReferenceDenoiser
 from .distribution import (
     FactorizedGCParams,
-    JointSample,
     ShapeSpec,
     entropy,
     kl_divergence,
@@ -28,7 +27,7 @@ from .process import (
     cat_posterior_theta,
     marginal_theta,
     one_hot,
-    posterior_params,
+    posterior_arrays,
     q_step_arrays,
 )
 from .schedules import NoiseSchedule, cosine_schedule
@@ -53,7 +52,8 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail} [{self.seconds:.2f}s]"
 
 
-def _random_schedule(rng: np.random.Generator, total_steps: int) -> NoiseSchedule:
+def random_schedule(rng: np.random.Generator, total_steps: int) -> NoiseSchedule:
+    """Diagnostic schedule with every beta drawn uniformly from [0.05, 0.8]."""
     return NoiseSchedule(
         beta_gauss=rng.uniform(0.05, 0.8, total_steps),
         beta_cat=rng.uniform(0.05, 0.8, total_steps),
@@ -69,7 +69,7 @@ def check_schedule_properties(seed: int = 0) -> CheckResult:
     ok = sched.alphabar_gauss[-1] < 1e-3 and np.all(sched.beta_gauss > 0) and np.all(sched.beta_gauss <= 0.999)
     ok = ok and np.all(np.diff(sched.alphabar_gauss) < 0)
     for _ in range(50):
-        s = _random_schedule(rng, int(rng.integers(2, 30)))
+        s = random_schedule(rng, int(rng.integers(2, 30)))
         prev = np.concatenate([[1.0], s.alphabar_gauss[:-1]])
         rel = np.abs(s.alphabar_gauss / prev - s.alpha_gauss) / s.alpha_gauss
         worst = max(worst, float(rel.max()))
@@ -78,34 +78,50 @@ def check_schedule_properties(seed: int = 0) -> CheckResult:
     return CheckResult("schedule-self-consistency", bool(ok), f"max rel drift {worst:.2e}", time.perf_counter() - t0)
 
 
+def _posterior_errors(sched: NoiseSchedule, t: int, y0, y_t, x0, x_t, n_classes: int) -> np.ndarray:
+    """Worst [cat, mu, var] errors of the one-step posterior at step t over
+    rows of (y0, y_t, x0, x_t), against enumeration and the completed square."""
+    mu, var, theta = posterior_arrays(
+        x0[:, None], one_hot(y0[:, None], n_classes), x_t[:, None], y_t[:, None], t, t - 1, sched, n_classes
+    )
+    worst = np.zeros(3)
+    for i in range(y0.size):
+        ref_theta = oracles.brute_cat_posterior(y_t[i], y0[i], sched.alpha_cat[t - 1], sched.abar_cat(t - 1), n_classes)
+        ref_mu, ref_var = oracles.conjugate_gauss_posterior(x_t[i], x0[i], sched.alpha_gauss[t - 1], sched.abar_gauss(t - 1))
+        errors = (
+            np.max(np.abs(theta[i, 0] - ref_theta)),
+            abs(mu[i, 0] - ref_mu) / max(abs(ref_mu), 1.0),
+            abs(var - ref_var) / ref_var,
+        )
+        worst = np.maximum(worst, errors)
+    return worst
+
+
 def check_bayes_posterior(n_cases: int = 1000, seed: int = 0) -> CheckResult:
-    """Posterior vs enumeration (labels) and completed square (image)."""
+    """Posterior vs enumeration (labels) and completed square (image), on
+    random short schedules and on every (t, y0, y_t) of cosine_schedule(1000, p)
+    for p in {1, 3}, whose small-t normalizers fall near 1e-13."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst_cat = worst_mu = worst_var = 0.0
+    worst = np.zeros(3)
     for _ in range(n_cases):
         n_classes = int(rng.integers(2, 6))
         total = int(rng.integers(2, 12))
-        sched = _random_schedule(rng, total)
+        sched = random_schedule(rng, total)
         t = int(rng.integers(2, total + 1))
-        y0 = int(rng.integers(1, n_classes + 1))
-        y_t = int(rng.integers(1, n_classes + 1))
-        x0 = float(rng.standard_normal())
-        x_t = float(rng.standard_normal())
-        z_t = JointSample(x=np.array([x_t]), y=np.array([y_t]))
-        post = posterior_params(np.array([x0]), one_hot(np.array([y0]), n_classes), z_t, t, sched)
-        ref_theta = oracles.brute_cat_posterior(y_t, y0, float(sched.alpha_cat[t - 1]), sched.abar_cat(t - 1), n_classes)
-        ref_mu, ref_var = oracles.conjugate_gauss_posterior(x_t, x0, float(sched.alpha_gauss[t - 1]), sched.abar_gauss(t - 1))
-        worst_cat = max(worst_cat, float(np.max(np.abs(post.theta[0] - ref_theta))))
-        worst_mu = max(worst_mu, abs(float(post.mu[0]) - ref_mu) / max(abs(ref_mu), 1.0))
-        worst_var = max(worst_var, abs(float(post.var[0]) - ref_var) / ref_var)
-    ok = max(worst_cat, worst_mu, worst_var) < POSTERIOR_TOL
-    return CheckResult(
-        "bayes-posterior",
-        bool(ok),
-        f"{n_cases} cases, worst cat {worst_cat:.2e}, mu {worst_mu:.2e}, var {worst_var:.2e}",
-        time.perf_counter() - t0,
-    )
+        y0, y_t = rng.integers(1, n_classes + 1, (2, 1))
+        worst = np.maximum(worst, _posterior_errors(sched, t, y0, y_t, *rng.standard_normal((2, 1)), n_classes))
+    detail = f"{n_cases} cases, worst cat {worst[0]:.2e}, mu {worst[1]:.2e}, var {worst[2]:.2e}"
+    k = 4  # every (y0, y_t) pair at the class count of the toy scenes
+    y0, y_t = np.repeat(np.arange(1, k + 1), k), np.tile(np.arange(1, k + 1), k)
+    for p in (1.0, 3.0):
+        sched = cosine_schedule(1000, p=p)
+        errors = np.zeros(3)
+        for t in range(2, sched.total_steps + 1):
+            errors = np.maximum(errors, _posterior_errors(sched, t, y0, y_t, *rng.standard_normal((2, k * k)), k))
+        detail += f"; cosine T=1000 p={p:g}: cat {errors[0]:.2e}, mu {errors[1]:.2e}, var {errors[2]:.2e}"
+        worst = np.maximum(worst, errors)
+    return CheckResult("bayes-posterior", bool(worst.max() < POSTERIOR_TOL), detail, time.perf_counter() - t0)
 
 
 def check_marginal_induction(seed: int = 0) -> CheckResult:
@@ -116,7 +132,7 @@ def check_marginal_induction(seed: int = 0) -> CheckResult:
     for _ in range(200):
         n_classes = int(rng.integers(2, 6))
         total = int(rng.integers(1, 11))
-        sched = _random_schedule(rng, total)
+        sched = random_schedule(rng, total)
         t = int(rng.integers(1, total + 1))
         prod = oracles.composed_transition(sched.alpha_cat[:t], n_classes)
         closed = oracles.transition_matrix(sched.abar_cat(t), n_classes)
@@ -134,7 +150,7 @@ def check_marginal_monte_carlo(seed: int = 0, n_chains: int = 100_000) -> CheckR
     rng = np.random.default_rng(seed)
     n_classes = 3
     total = 5
-    sched = _random_schedule(rng, total)
+    sched = random_schedule(rng, total)
     x0 = rng.uniform(-1, 1)
     y0 = int(rng.integers(1, n_classes + 1))
     x = np.full((n_chains, 1), x0)
@@ -170,7 +186,7 @@ def check_stride_composition(seed: int = 0) -> CheckResult:
     for _ in range(200):
         n_classes = int(rng.integers(2, 5))
         total = int(rng.integers(3, 12))
-        sched = _random_schedule(rng, total)
+        sched = random_schedule(rng, total)
         t = int(rng.integers(2, total + 1))
         s = int(rng.integers(1, t))
         composed = oracles.composed_transition(sched.alpha_cat[s:t], n_classes)

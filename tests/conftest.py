@@ -3,15 +3,7 @@ import pytest
 
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
 from gcdp.distribution import ShapeSpec
-from gcdp.schedules import NoiseSchedule
-
-
-def random_schedule(rng: np.random.Generator, total_steps: int) -> NoiseSchedule:
-    return NoiseSchedule(
-        beta_gauss=rng.uniform(0.05, 0.8, total_steps),
-        beta_cat=rng.uniform(0.05, 0.8, total_steps),
-        check_terminal=False,
-    )
+from gcdp.verify import random_schedule  # noqa: F401  (imported by the test modules)
 
 
 # The model fixtures compute in float64, which the finite-difference

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gcdp import io as gio
-from gcdp.cli import SCHEMAS, canonical_config_text, main, parse_config_text
+from gcdp.cli import SCHEMAS, _load_sample_dir, _write_samples, canonical_config_text, main, parse_config_text
 from gcdp.errors import UsageError
+from gcdp.metrics import EvalReport, fsd, miou, semantic_f
+from gcdp.scenes import oracle_segment
 
 
 def run(*argv):
@@ -113,6 +115,46 @@ class TestPipeline:
         if rep.semantic_recall > 0 and rep.semantic_precision > 0:
             expected_f = 2 / (1 / rep.semantic_recall + 1 / rep.semantic_precision)
             assert rep.semantic_f == pytest.approx(expected_f, abs=1e-12)
+
+    def test_evaluate_report_matches_per_sample_detection_scores(self, pipeline, tmp_path):
+        scene, ref = gio.load_dataset(pipeline / "data" / "dataset.gcds")
+        rng = np.random.default_rng(8)
+        n = 12
+        images = rng.uniform(-1, 1, (n, scene.n_pixels))
+        layouts = rng.integers(1, scene.n_classes + 1, (n, scene.n_pixels))
+        conds = rng.integers(0, scene.n_conds, n)
+        out = tmp_path / "samples"
+        out.mkdir()
+        _write_samples(out, images, layouts, conds, scene.height, scene.width)
+        assert run("evaluate", "--samples", str(out), "--data", str(pipeline / "data" / "dataset.gcds"),
+                   "--out", str(tmp_path / "eval")) == 0
+
+        # reference: the detection scores written out per sample
+        images, layouts, conds = _load_sample_dir(out)
+        seg = oracle_segment(images, scene)
+        recalls, precisions, recalls_layout, hits = [], [], [], {}
+        for i in range(n):
+            gt = set(scene.class_sets[conds[i]])
+            det = {int(c) for c in np.unique(seg[i])}
+            det_lay = {int(c) for c in np.unique(layouts[i])}
+            recalls.append(len(det & gt) / len(gt))
+            recalls_layout.append(len(det_lay & gt) / len(gt))
+            precisions.append(len(det & gt) / len(det))
+            for c in gt:
+                hits.setdefault(c, []).append(c in det)
+        recall, precision = float(np.mean(recalls)), float(np.mean(precisions))
+        expected = EvalReport(
+            semantic_recall=recall,
+            semantic_precision=precision,
+            semantic_f=semantic_f(recall, precision),
+            fsd=fsd(layouts, np.stack([s.sample.y for s in ref]), scene.n_classes),
+            miou=float(np.mean([miou(layouts[i], seg[i], scene.n_classes) for i in range(n)])),
+            tv_distance=float("nan"),
+            per_class_recall={c: float(np.mean(v)) for c, v in sorted(hits.items())},
+            semantic_recall_layout=float(np.mean(recalls_layout)),
+        )
+        assert 0.0 < precision < 1.0
+        assert (tmp_path / "eval" / "report.txt").read_bytes() == gio.report_to_text(expected).encode()
 
 
 class TestDeterminism:

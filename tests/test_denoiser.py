@@ -4,7 +4,6 @@ import pytest
 from gcdp.denoiser import (
     DenoiserConfig,
     DenoiserInput,
-    DenoiserOutput,
     ReferenceDenoiser,
     forward,
     time_embedding,
@@ -183,12 +182,3 @@ def test_float32_forward_matches_float64_copy():
     assert x32.dtype == l32.dtype == np.float64
     for a, b in ((x32, x64), (l32, l64)):
         assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
-
-
-def test_guide_shapes_must_match(tiny_model):
-    from gcdp.sampler import guide_predictions
-
-    a = DenoiserOutput(x0_hat=np.zeros(2), theta0_logits=np.zeros((1, 2)))
-    b = DenoiserOutput(x0_hat=np.zeros(3), theta0_logits=np.zeros((1, 2)))
-    with pytest.raises(ValidationError):
-        guide_predictions(a, b, 1.0)

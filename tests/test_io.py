@@ -11,7 +11,7 @@ from gcdp.schedules import cosine_schedule
 from gcdp.cli import main as cli_main
 from gcdp.sampler import GuidanceConfig, sample_batch
 from gcdp.scenes import dataset_arrays
-from gcdp.training import AdamState, TrainConfig, train
+from gcdp.training import TrainConfig, train
 
 
 @pytest.fixture
@@ -19,13 +19,7 @@ def checkpoint():
     shape = ShapeSpec(n_gauss=4, n_cat=4, n_classes=3)
     cfg = DenoiserConfig(shape=shape, n_conds=2, hidden=8, n_blocks=1, label_emb_dim=2, time_emb_dim=4, cond_emb_dim=2)
     model = ReferenceDenoiser.init(cfg, seed=3)
-    rng = np.random.default_rng(0)
-    opt = AdamState(
-        rng.standard_normal(model.n_params).astype(np.float32), rng.random(model.n_params).astype(np.float32), 17
-    )
-    return gio.Checkpoint(
-        model=model, sched=cosine_schedule(20), opt=opt, train_steps=123, seed=9, height=2, width=2
-    )
+    return gio.Checkpoint(model=model, sched=cosine_schedule(20), train_steps=123, seed=9, height=2, width=2)
 
 
 class TestCheckpoint:
@@ -41,12 +35,11 @@ class TestCheckpoint:
         path = tmp_path / "model.gcdp"
         gio.save_checkpoint(path, checkpoint)
         ck = gio.load_checkpoint(path)
-        assert ck.train_steps == 123 and ck.seed == 9 and ck.opt.step == 17
+        assert ck.train_steps == 123 and ck.seed == 9
         assert ck.height == 2 and ck.width == 2
         assert ck.model.config == checkpoint.model.config
         assert ck.model.flat.dtype == np.float32
         assert np.array_equal(ck.model.flat, checkpoint.model.flat)
-        assert np.array_equal(ck.opt.m, checkpoint.opt.m) and np.array_equal(ck.opt.v, checkpoint.opt.v)
         assert np.array_equal(ck.sched.beta_gauss, checkpoint.sched.beta_gauss)
         assert np.array_equal(ck.sched.beta_cat, checkpoint.sched.beta_cat)
 
@@ -55,10 +48,10 @@ class TestCheckpoint:
         shape = ShapeSpec(n_gauss=scene.n_pixels, n_cat=scene.n_pixels, n_classes=3)
         cfg = DenoiserConfig(shape=shape, n_conds=scene.n_conds, hidden=32, n_blocks=2)
         sched = cosine_schedule(50, p=2.0)
-        model, opt, _ = train(dataset_arrays(generate(scene, 64)), ReferenceDenoiser.init(cfg, seed=1), sched,
+        model, _, _ = train(dataset_arrays(generate(scene, 64)), ReferenceDenoiser.init(cfg, seed=1), sched,
                               TrainConfig(steps=50, batch_size=16, seed=4))
         path = tmp_path / "model.gcdp"
-        gio.save_checkpoint(path, gio.Checkpoint(model, sched, opt, 50, 4, 4, 4))
+        gio.save_checkpoint(path, gio.Checkpoint(model, sched, 50, 4, 4, 4))
         ck = gio.load_checkpoint(path)
         conds = np.arange(16) % scene.n_conds
         guidance = GuidanceConfig(scale=2.0, enabled=True)
@@ -74,6 +67,22 @@ class TestCheckpoint:
         path = tmp_path / "old.gcdp"
         path.write_bytes(w.finish())
         with pytest.raises(FormatError, match="unsupported format version 1"):
+            gio.load_checkpoint(path)
+        assert cli_main(["sample", "--ckpt", str(path), "--out", str(tmp_path / "s")]) == 2
+
+    def test_version_2_checkpoint_is_rejected(self, checkpoint, tmp_path):
+        # version 2 also stored the Adam moments and step after the parameters
+        blob = bytearray(gio.checkpoint_bytes(checkpoint)[:-4])
+        blob[4:6] = (2).to_bytes(2, "little")
+        w = gio.Writer()
+        w.raw(bytes(blob[:-16]))
+        w.f32_array(np.zeros(checkpoint.model.n_params))
+        w.f32_array(np.zeros(checkpoint.model.n_params))
+        w.u64(17)
+        w.raw(bytes(blob[-16:]))
+        path = tmp_path / "v2.gcdp"
+        path.write_bytes(w.finish())
+        with pytest.raises(FormatError, match="unsupported format version 2"):
             gio.load_checkpoint(path)
         assert cli_main(["sample", "--ckpt", str(path), "--out", str(tmp_path / "s")]) == 2
 

@@ -22,7 +22,7 @@ from gcdp.process import (
     q_step_arrays,
     step_theta,
 )
-from gcdp.schedules import NoiseSchedule
+from gcdp.schedules import NoiseSchedule, cosine_schedule
 
 from conftest import random_schedule
 
@@ -145,6 +145,23 @@ class TestPosterior:
             assert abs(post.mu[0] - mu_ref) < 1e-10 * max(1.0, abs(mu_ref))
             assert abs(post.var[0] - var_ref) < 1e-10
 
+    def test_every_one_step_row_at_cosine_1000_p3_matches_enumeration(self):
+        # small-t normalizers here are ~1e-13, below the old 1e-12 floor
+        sched = cosine_schedule(1000, p=3)
+        k = 4
+        y0 = np.repeat(np.arange(1, k + 1), k)
+        y_t = np.tile(np.arange(1, k + 1), k)
+        worst = 0.0
+        for t in range(2, sched.total_steps + 1):
+            x = np.zeros((k * k, 1))
+            _, _, theta = posterior_arrays(x, one_hot(y0[:, None], k), x, y_t[:, None], t, t - 1, sched, k)
+            for i in range(k * k):
+                ref = brute_cat_posterior(
+                    int(y_t[i]), int(y0[i]), float(sched.alpha_cat[t - 1]), sched.abar_cat(t - 1), k
+                )
+                worst = max(worst, float(np.max(np.abs(theta[i, 0] - ref))))
+        assert worst < 1e-10
+
     def test_predicted_pmf_enters_linearly(self):
         rng = np.random.default_rng(5)
         k = 4
@@ -236,6 +253,14 @@ class TestStride:
             var_s = ct * ct * (1 - abar_t) + var
             assert mean_s == pytest.approx(np.sqrt(abar_s) * x0, abs=1e-12)
             assert var_s == pytest.approx(1 - abar_s, abs=1e-12)
+
+    def test_array_coefficients_equal_scalar_ones(self):
+        sched = cosine_schedule(100, p=3)
+        t = np.array([2, 7, 50, 100])
+        s = np.array([1, 6, 10, 0])
+        arrays = gauss_posterior_coeffs(t, s, sched)
+        for i in range(t.size):
+            assert [c[i] for c in arrays] == list(gauss_posterior_coeffs(int(t[i]), int(s[i]), sched))
 
     def test_invalid_stride_targets(self):
         rng = np.random.default_rng(11)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcdp.denoiser import DenoiserConfig, DenoiserOutput, ReferenceDenoiser
+from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
 from gcdp.distribution import JointSample, ShapeSpec
 from gcdp.errors import NumericalError, ValidationError
 from gcdp.sampler import (
@@ -9,7 +9,6 @@ from gcdp.sampler import (
     OutpaintSpec,
     ancestral_sample,
     default_stride,
-    guide_predictions,
     outpaint,
     outpaint_batch,
     sample_batch,
@@ -26,30 +25,41 @@ def setup(small_model):
     return small_model, sched
 
 
+class _TwoBranchStub:
+    """Predicts image 0.25 and logits (1, 0) under a condition, image 0 and
+    logits (0, 2) under the null condition, whatever the noisy state."""
+
+    def __init__(self):
+        self.config = DenoiserConfig(shape=ShapeSpec(n_gauss=3, n_cat=2, n_classes=2), n_conds=1)
+
+    def forward_batch(self, x_t, y_t, t, cond):
+        c = np.asarray(cond)[:, None] >= 0
+        x0_hat = np.where(c, 0.25, 0.0) * np.ones_like(x_t)
+        logits = np.where(c[..., None], [1.0, 0.0], [0.0, 2.0]) * np.ones(y_t.shape + (2,))
+        return x0_hat, logits, None
+
+
 class TestGuidance:
-    def _outs(self):
-        rng = np.random.default_rng(1)
-        mk = lambda: DenoiserOutput(x0_hat=rng.standard_normal(3), theta0_logits=rng.standard_normal((2, 4)))
-        return mk(), mk()
+    def _guided(self, w):
+        """One visited step: the sampler returns the guided prediction itself."""
+        sched = random_schedule(np.random.default_rng(1), 4)
+        guidance = GuidanceConfig(scale=w, enabled=True)
+        return sample_batch(_TwoBranchStub(), sched, np.zeros(3, dtype=int), guidance, [4], np.random.default_rng(2))
 
     def test_w1_returns_conditional(self):
-        c, u = self._outs()
-        g = guide_predictions(c, u, 1.0)
-        assert np.array_equal(g.x0_hat, c.x0_hat)
-        assert np.array_equal(g.theta0_logits, c.theta0_logits)
+        x, y = self._guided(1.0)
+        assert np.all(x == 0.25) and np.all(y == 1)
 
     def test_w0_returns_unconditional(self):
-        c, u = self._outs()
-        g = guide_predictions(c, u, 0.0)
-        assert np.array_equal(g.x0_hat, u.x0_hat)
-        assert np.array_equal(g.theta0_logits, u.theta0_logits)
+        x, y = self._guided(0.0)
+        assert np.all(x == 0.0) and np.all(y == 2)
 
     def test_linear_extrapolation(self):
-        c = DenoiserOutput(x0_hat=np.array([1.0]), theta0_logits=np.array([[1.0, 0.0]]))
-        u = DenoiserOutput(x0_hat=np.array([0.0]), theta0_logits=np.array([[0.0, 0.0]]))
-        g = guide_predictions(c, u, 2.0)
-        assert g.x0_hat[0] == 2.0
-        assert g.theta0_logits[0, 0] == 2.0
+        # x_u + w (x_c - x_u) on the image; logits (2, -2) at w = 2, (0.5, 1) at w = 0.5
+        x, y = self._guided(2.0)
+        assert np.all(x == 0.5) and np.all(y == 1)
+        x, y = self._guided(0.5)
+        assert np.all(x == 0.125) and np.all(y == 2)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
-from gcdp.distribution import JointSample, ShapeSpec
+from gcdp.distribution import JointSample, ShapeSpec, kl_divergence
 from gcdp.errors import NumericalError, ValidationError
 from gcdp.oracles import finite_diff_grads, max_rel_error
-from gcdp.process import one_hot
-from gcdp.schedules import NoiseSchedule
+from gcdp.process import one_hot, posterior_params
+from gcdp.schedules import NoiseSchedule, cosine_schedule
 from gcdp.training import (
     AdamState,
     TrainConfig,
+    bound_terms,
     discretized_gauss_loglik,
     prior_term,
     softmax,
@@ -46,8 +47,8 @@ class _PerfectOracle:
 
     def forward_batch(self, x_t, y_t, t, cond):
         k = self.config.shape.n_classes
-        logits = self._sharp * one_hot(self._y0, k)
-        return self._x0.copy(), logits, None
+        logits = self._sharp * one_hot(np.broadcast_to(self._y0, y_t.shape), k)
+        return np.broadcast_to(self._x0, x_t.shape).copy(), logits, None
 
     def backward_batch(self, cache, dx0, dlogits):
         return {}
@@ -75,6 +76,22 @@ class TestVlbLoss:
         assert terms.shape == (8,)
         assert np.all(terms >= 0.0)
         assert np.isfinite(terms.sum())
+
+    def test_one_forward_call_covers_every_step(self, small_model):
+        rng = np.random.default_rng(3)
+        sched = random_schedule(rng, 7)
+        s = small_model.config.shape
+        z0 = JointSample(x=rng.uniform(-1, 1, s.n_gauss), y=rng.integers(1, s.n_classes + 1, s.n_cat))
+        rows = []
+        orig = small_model.forward_batch
+
+        def counting(x, y, t, cond):
+            rows.append(x.shape[0])
+            return orig(x, y, t, cond)
+
+        small_model.forward_batch = counting
+        vlb_terms(z0, 1, small_model, sched, rng)
+        assert rows == [7]
 
     def test_prior_term_ignores_parameters(self, small_model):
         rng = np.random.default_rng(4)
@@ -135,6 +152,26 @@ class TestVlbLoss:
         _, _, parts2 = vlb_loss(x, y, c, model, sched, np.random.default_rng(5), lambda_cat=2.0)
         assert parts2.cat == pytest.approx(2.0 * parts1.cat, rel=1e-12)
         assert parts2.gauss == pytest.approx(parts1.gauss, rel=1e-12)
+
+
+@pytest.mark.parametrize("sched", [random_schedule(np.random.default_rng(12), 12), cosine_schedule(100, p=3)])
+def test_bound_terms_are_posterior_kls(sched):
+    # for t >= 2 each item's term is KL(posterior from z0 || posterior from the prediction)
+    rng = np.random.default_rng(13)
+    n, m, k, batch = 3, 2, 4, 40
+    x0 = rng.uniform(-1, 1, (batch, n))
+    y0 = rng.integers(1, k + 1, (batch, m))
+    x_t = rng.standard_normal((batch, n))
+    y_t = rng.integers(1, k + 1, (batch, m))
+    t = rng.integers(2, sched.total_steps + 1, batch)
+    x0_hat = rng.uniform(-1, 1, (batch, n))
+    theta0_hat = softmax(2.0 * rng.standard_normal((batch, m, k)))
+    gauss, cat, _, _ = bound_terms(x0, y0, y_t, t, x0_hat, theta0_hat, sched)
+    for i in range(batch):
+        z_t = JointSample(x=x_t[i], y=y_t[i])
+        clean = posterior_params(x0[i], one_hot(y0[i], k), z_t, t[i], sched)
+        pred = posterior_params(x0_hat[i], theta0_hat[i], z_t, t[i], sched)
+        assert gauss[i] + cat[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10)
 
 
 class TestCondDropout:
