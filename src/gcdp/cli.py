@@ -282,9 +282,9 @@ def cmd_outpaint(cfg: dict) -> int:
     samples = samples[:count]
     shape = ck.model.config.shape
     mask = _build_mask(cfg["mask_mode"], cfg["mask"], shape.n_gauss, shape.n_cat)
-    known_x = np.stack([s.sample.x for s in samples])
-    known_y = np.stack([s.sample.y for s in samples])
-    conds = np.array([s.cond if cfg["cond"] < 0 else cfg["cond"] for s in samples], dtype=np.int64)
+    known_x, known_y, conds = dataset_arrays(samples)
+    if cfg["cond"] >= 0:
+        conds = np.full(count, cfg["cond"], dtype=np.int64)
     guidance = GuidanceConfig(scale=cfg["guidance_w"], enabled=bool(np.all(conds >= 0)))
     rng = np.random.default_rng(cfg["seed"])
     images, layouts = outpaint_batch(
@@ -342,7 +342,7 @@ def evaluate_samples(
 def cmd_evaluate(cfg: dict) -> int:
     scene, ref_samples = gio.load_dataset(_require(cfg, "data"))
     images, layouts, conds = _load_sample_dir(Path(_require(cfg, "samples")))
-    ref_layouts = np.stack([s.sample.y for s in ref_samples])
+    _, ref_layouts, _ = dataset_arrays(ref_samples)
     report = evaluate_samples(images, layouts, conds, scene, ref_layouts)
     out = _out_dir(cfg, "evaluate")
     text = gio.report_to_text(report)

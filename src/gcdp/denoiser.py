@@ -166,14 +166,6 @@ class ReferenceDenoiser:
     def n_params(self) -> int:
         return self.flat.size
 
-    def flatten(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def load_flat(self, flat: np.ndarray):
-        if flat.shape != self.flat.shape:
-            raise ValidationError(f"flat parameter array has {flat.shape[0]} entries, expected {self.n_params}")
-        self.flat[...] = flat
-
     def _cond_index(self, cond: np.ndarray) -> np.ndarray:
         cond = np.asarray(cond, dtype=np.int64)
         if np.any(cond >= self.config.n_conds):

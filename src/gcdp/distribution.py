@@ -58,14 +58,6 @@ class JointSample:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def one_hot(self, n_classes: int) -> np.ndarray:
-        """M x K one-hot view of the labels."""
-        if np.any(self.y > n_classes):
-            raise ValidationError("label exceeds n_classes")
-        out = np.zeros((self.y.shape[0], n_classes), dtype=np.float64)
-        out[np.arange(self.y.shape[0]), self.y - 1] = 1.0
-        return out
-
 
 def _clean_theta(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
@@ -167,12 +159,16 @@ def sample(params: FactorizedGCParams, rng: np.random.Generator) -> JointSample:
 def kl_divergence(p: FactorizedGCParams, q: FactorizedGCParams) -> float:
     """KL(p || q), the sum of per-coordinate Gaussian and categorical KLs.
 
-    Returns +inf when q assigns zero mass to a label p supports.
+    The Gaussian part is written as 0.5 * (-log r + (r - 1) + d^2 / q.var)
+    with r = p.var / q.var, so a mean gap small against equal variances is
+    not lost to the cancellation of (p.var + d^2) / q.var - 1. Returns +inf
+    when q assigns zero mass to a label p supports.
     """
     if (p.n_gauss, p.n_cat, p.n_classes) != (q.n_gauss, q.n_cat, q.n_classes):
         raise ValidationError("KL requires identical shapes")
     d = p.mu - q.mu
-    gauss = 0.5 * (np.log(q.var / p.var) + (p.var + d * d) / q.var - 1.0).sum()
+    r = p.var / q.var
+    gauss = 0.5 * (-np.log(r) + (r - 1.0) + d * d / q.var).sum()
     support = p.theta > 0.0
     if np.any(support & (q.theta == 0.0)):
         return float("inf")

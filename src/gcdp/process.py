@@ -1,20 +1,22 @@
 """Forward noising kernels, closed-form marginals, and the Bayes posterior.
 
-One forward step perturbs both modalities independently:
+This module is the one place that knows the forward process. One forward
+step perturbs both modalities independently:
 
     x_t ~ N(sqrt(1 - beta^N_t) x_{t-1}, beta^N_t I)
-    y_t ~ C((1 - beta^C_t) onehot(y_{t-1}) + beta^C_t / K)
+    y_t ~ C(uniform_mix(onehot(y_{t-1}), alpha^C_t))
 
 which composes into closed-form marginals from the clean sample,
 
     x_t ~ N(sqrt(abar^N_t) x_0, (1 - abar^N_t) I)
-    y_t ~ C(abar^C_t onehot(y_0) + (1 - abar^C_t) / K)
+    y_t ~ C(uniform_mix(onehot(y_0), abar^C_t))
 
-and a Bayes posterior over z_{t-1} given (z_t, z_0) that stays factorized.
-The categorical posterior is the normalized elementwise product
+where uniform_mix(theta, keep) = keep * theta + (1 - keep) / K is the
+uniform categorical kernel, and a Bayes posterior over z_{t-1} given
+(z_t, z_0) that stays factorized. The categorical posterior is the
+normalized elementwise product
 
-    [alpha^C_t onehot(y_t) + (1 - alpha^C_t)/K]
-      * [abar^C_{t-1} theta_0 + (1 - abar^C_{t-1})/K]
+    uniform_mix(onehot(y_t), alpha^C_t) * uniform_mix(theta_0, abar^C_{t-1})
 
 where theta_0 is the one-hot of y_0, or a predicted PMF over y_0 inserted
 in its place (the expectation of the one-hot posterior, renormalized).
@@ -23,9 +25,11 @@ t = 1 and with brute-force Bayes enumeration; the posterior module is
 oracle-checked against both, on random schedules and on every step of
 cosine_schedule(1000, p) for p in {1, 3}.
 
-This module is the one implementation of the posterior: the training loss
-and bound terms call gauss_posterior_coeffs and cat_posterior_theta with
-per-item timestep arrays, and the sampler calls posterior_arrays.
+The training loss draws z_t from q_marginal_arrays and takes its bound
+terms from gauss_posterior_coeffs and cat_posterior_theta, with per-item
+timestep arrays; the sampler calls posterior_arrays, q_marginal_arrays and
+q_step_arrays. Timesteps are looked up through NoiseSchedule.abar_gauss
+and abar_cat, never by indexing the schedule arrays.
 
 All functions accept leading batch axes on the array arguments; the
 JointSample wrappers are the single-sample surface.
@@ -52,14 +56,15 @@ def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return (y[..., None] == np.arange(1, n_classes + 1)).astype(np.float64)
 
 
-def step_theta(y_prev: np.ndarray, beta_c: float, n_classes: int) -> np.ndarray:
-    """One-step categorical transition PMF rows from y_{t-1}."""
-    return (1.0 - beta_c) * one_hot(y_prev, n_classes) + beta_c / n_classes
+def uniform_mix(theta: np.ndarray, keep: float | np.ndarray, n_classes: int) -> np.ndarray:
+    """The uniform categorical kernel applied to PMF rows theta (..., K):
+    keep * theta + (1 - keep) / K.
 
-
-def marginal_theta(y0: np.ndarray, abar_c: float, n_classes: int) -> np.ndarray:
-    """Marginal PMF rows of y_t given clean labels y_0."""
-    return abar_c * one_hot(y0, n_classes) + (1.0 - abar_c) / n_classes
+    keep is alpha_t for one forward step, abar_t for the marginal from y_0,
+    and abar_t / abar_s for the collapsed transition t -> s; a float or an
+    array that broadcasts against theta, such as (B, 1, 1) per item.
+    """
+    return keep * theta + (1.0 - keep) / n_classes
 
 
 def q_step_arrays(
@@ -73,21 +78,24 @@ def q_step_arrays(
     """Apply one forward step to batched arrays; draws x noise then y uniforms."""
     t = sched._check_t(t)
     bn = float(sched.beta_gauss[t - 1])
-    bc = float(sched.beta_cat[t - 1])
     x_t = np.sqrt(1.0 - bn) * x_prev + np.sqrt(bn) * rng.standard_normal(x_prev.shape)
-    y_t = sample_rows(step_theta(y_prev, bc, n_classes), rng.random(y_prev.shape))
-    return x_t, y_t
+    theta = uniform_mix(one_hot(y_prev, n_classes), float(sched.alpha_cat[t - 1]), n_classes)
+    return x_t, sample_rows(theta, rng.random(y_prev.shape))
 
 
 def q_marginal_arrays(
-    x0: np.ndarray, y0: np.ndarray, t: int, sched: NoiseSchedule, n_classes: int
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(mu, var, theta) of q(z_t | z_0) for batched arrays; var is scalar."""
+    x0: np.ndarray, y0: np.ndarray, t: int | np.ndarray, sched: NoiseSchedule, n_classes: int
+) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+    """(mu, var, theta) of q(z_t | z_0) for batched arrays x0 (..., N) and
+    y0 (..., M). t is an int, with a float var, or a (B,) array of per-item
+    steps for (B, N) and (B, M) inputs, with var of shape (B, 1)."""
     t = sched._check_t(t)
-    abar_n = sched.abar_gauss(t)
+    abar_n, abar_c = sched.abar_gauss(t), sched.abar_cat(t)
+    if not isinstance(t, int):
+        abar_n, abar_c = abar_n[:, None], abar_c[:, None, None]
     mu = np.sqrt(abar_n) * x0
-    var = max(1.0 - abar_n, DENOM_FLOOR)
-    theta = marginal_theta(y0, sched.abar_cat(t), n_classes)
+    var = np.maximum(1.0 - abar_n, DENOM_FLOOR)
+    theta = uniform_mix(one_hot(y0, n_classes), abar_c, n_classes)
     return mu, var, theta
 
 
@@ -99,8 +107,7 @@ def gauss_posterior_coeffs(
     one effective step with retention abar_t / abar_s; s = t-1 recovers the
     one-step coefficients. t and s are ints or equal-shape int arrays; the
     coefficients take their shape."""
-    abar = np.concatenate(([1.0], sched.alphabar_gauss))
-    abar_t, abar_s = abar[t], abar[s]
+    abar_t, abar_s = sched.abar_gauss(t), sched.abar_gauss(s)
     alpha_eff = abar_t / abar_s
     beta_eff = 1.0 - alpha_eff
     denom = np.maximum(1.0 - abar_t, DENOM_FLOOR)
@@ -126,8 +133,8 @@ def cat_posterior_theta(
     cosine_schedule(1000, p=3)), so the normalizer is floored only at the
     smallest normal float, which guards against 0/0 and nothing else.
     """
-    like = alpha_eff * one_hot(y_t, n_classes) + (1.0 - alpha_eff) / n_classes
-    prior = abar_s * theta0 + (1.0 - abar_s) / n_classes
+    like = uniform_mix(one_hot(y_t, n_classes), alpha_eff, n_classes)
+    prior = uniform_mix(theta0, abar_s, n_classes)
     unnorm = like * prior
     z = np.maximum(unnorm.sum(axis=-1, keepdims=True), NORM_FLOOR)
     return unnorm / z
@@ -202,9 +209,3 @@ def posterior_params(
     )
     return FactorizedGCParams(mu=mu, var=np.full_like(mu, var), theta=theta)
 
-
-def posterior_from_clean(
-    z0: JointSample, z_t: JointSample, t: int, sched: NoiseSchedule, n_classes: int
-) -> PosteriorParams:
-    """One-step posterior with the exact clean sample (one-hot labels)."""
-    return posterior_params(z0.x, one_hot(z0.y, n_classes), z_t, t, sched)

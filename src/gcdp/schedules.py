@@ -7,7 +7,9 @@ the fraction of clean signal surviving to step t; a usable schedule drives
 it below 1e-3 by t = T so the terminal state is effectively pure noise.
 
 Arrays are indexed 0-based (index t-1 holds step t). alphabar at t = 0 is
-1 by convention and is not stored.
+1 by convention and is not stored. NoiseSchedule.abar_gauss and abar_cat
+are the one place that applies this rule: they take an int or an int array
+of timesteps, so callers never index the stored arrays by t.
 """
 
 from dataclasses import dataclass, field
@@ -44,16 +46,6 @@ def _cosine_raw_beta(total_steps: int, offset: float) -> np.ndarray:
     t = np.arange(total_steps + 1, dtype=np.float64) / total_steps
     f = np.cos((t + offset) / (1.0 + offset) * np.pi / 2.0) ** 2
     return 1.0 - f[1:] / f[:-1]
-
-
-def cosine_beta(total_steps: int, offset: float = 0.008) -> np.ndarray:
-    """Beta sequence whose alphabar follows the squared-cosine profile.
-
-    alphabar_t = f(t)/f(0) with f(t) = cos^2(((t/T + s)/(1 + s)) * pi/2);
-    beta_t = 1 - f(t)/f(t-1), clipped to at most BETA_MAX. The final raw
-    beta is 1 (f(T) = 0 up to rounding), so the clip always engages there.
-    """
-    return np.minimum(_cosine_raw_beta(total_steps, offset), BETA_MAX)
 
 
 def power_coupled(beta_gauss: np.ndarray, p: float) -> np.ndarray:
@@ -118,30 +110,48 @@ class NoiseSchedule:
     def total_steps(self) -> int:
         return int(self.beta_gauss.shape[0])
 
-    def _check_t(self, t: int, low: int = 1) -> int:
-        t = int(t)
-        if not (low <= t <= self.total_steps):
-            raise ValidationError(f"timestep {t} outside [{low}, {self.total_steps}]")
+    def _check_t(self, t: int | np.ndarray, low: int = 1) -> int | np.ndarray:
+        """t as an int, or as an int array when it is one, after checking
+        that every entry lies in [low, T]. Scalars skip numpy: the sampler
+        looks up several scalar steps per visited timestep."""
+        if np.ndim(t) == 0:
+            t = int(t)
+            if not (low <= t <= self.total_steps):
+                raise ValidationError(f"timestep {t} outside [{low}, {self.total_steps}]")
+            return t
+        t = np.asarray(t)
+        bad = (t < low) | (t > self.total_steps)
+        if np.any(bad):
+            raise ValidationError(f"timestep {t[bad][0]} outside [{low}, {self.total_steps}]")
         return t
 
-    def abar_gauss(self, t: int) -> float:
-        """alphabar^N at step t, with abar(0) = 1."""
+    def _abar(self, alphabar: np.ndarray, t: int | np.ndarray) -> float | np.ndarray:
         t = self._check_t(t, low=0)
-        return 1.0 if t == 0 else float(self.alphabar_gauss[t - 1])
+        if isinstance(t, int):
+            return 1.0 if t == 0 else float(alphabar[t - 1])
+        return np.where(t > 0, alphabar[t - 1], 1.0)
 
-    def abar_cat(self, t: int) -> float:
-        """alphabar^C at step t, with abar(0) = 1."""
-        t = self._check_t(t, low=0)
-        return 1.0 if t == 0 else float(self.alphabar_cat[t - 1])
+    def abar_gauss(self, t: int | np.ndarray) -> float | np.ndarray:
+        """alphabar^N at step t, with abar(0) = 1: a float for an int t, an
+        array of t's shape for an int array."""
+        return self._abar(self.alphabar_gauss, t)
+
+    def abar_cat(self, t: int | np.ndarray) -> float | np.ndarray:
+        """alphabar^C at step t, with abar(0) = 1, shaped like abar_gauss."""
+        return self._abar(self.alphabar_cat, t)
 
 
 def cosine_schedule(total_steps: int, offset: float = 0.008, p: float = 1.0) -> NoiseSchedule:
     """Standard schedule: cosine profile on the Gaussian chain, categorical
     chain power-coupled with exponent p (p = 1 makes the chains identical).
 
-    The power applies to the raw cosine betas, before the BETA_MAX clip:
+    The raw cosine betas are beta_t = 1 - f(t)/f(t-1) with
+    f(t) = cos^2(((t/T + s)/(1 + s)) * pi/2), so alphabar^N_t = f(t)/f(0)
+    until the clip. The final raw beta is 1 (f(T) = 0 up to rounding), so
+    the BETA_MAX clip always engages there. Both chains are the raw betas
+    raised to a power and then clipped (power 1 for the Gaussian chain):
     powering the clipped final beta (0.999^3 = 0.997) would leave
     alphabar_cat(T) above the terminal bound for large p.
     """
     raw = _cosine_raw_beta(total_steps, offset)
-    return NoiseSchedule(beta_gauss=np.minimum(raw, BETA_MAX), beta_cat=power_coupled(raw, p))
+    return NoiseSchedule(beta_gauss=power_coupled(raw, 1.0), beta_cat=power_coupled(raw, p))

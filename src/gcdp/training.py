@@ -1,7 +1,8 @@
 """Variational-bound training of the denoiser.
 
 Each step draws, per batch item, a uniform timestep t and a noisy state
-z_t from the closed-form marginal, then charges the model:
+z_t from the closed-form marginal process.q_marginal_arrays, then charges
+the model:
 
   t >= 2:  the posterior-matching term, split per modality into
              (c0_t^2 / (2 var_t)) * ||x0 - x0_hat||^2
@@ -17,7 +18,9 @@ z_t from the closed-form marginal, then charges the model:
 Both t >= 2 parts are the KL between the posterior that `process` builds
 from the clean sample and the one it builds from the prediction; one
 function, `bound_terms`, gives every per-item term for the batch loss and
-for the per-t bound of `vlb_terms`. Gradients are assembled by hand:
+for the per-t bound of `vlb_terms`. This module reads the schedule only
+through `NoiseSchedule.abar_gauss`/`abar_cat` and the `process` functions,
+apart from the decoder's variance beta^N_1. Gradients are assembled by hand:
 closed-form derivatives of the loss with respect to (x0_hat, logits) are
 pushed through the network's hand-written backward pass. A "simple" mode
 (mean-squared error plus cross entropy) exists for ablation.
@@ -31,7 +34,7 @@ from scipy.special import ndtr
 from .denoiser import ReferenceDenoiser
 from .distribution import JointSample, sample_rows
 from .errors import NumericalError, ValidationError
-from .process import cat_posterior_theta, gauss_posterior_coeffs, marginal_theta, one_hot
+from .process import cat_posterior_theta, gauss_posterior_coeffs, one_hot, q_marginal_arrays, uniform_mix
 from .schedules import NoiseSchedule
 
 N_BINS = 256
@@ -114,14 +117,14 @@ def bound_terms(
         loss_g[m2] = w * (diff * diff).sum(axis=1)
         dx0_hat[m2] = (2.0 * w)[:, None] * diff
 
-        alpha = sched.alpha_cat[ts - 1][:, None, None]
-        abar_s = sched.alphabar_cat[ts - 2][:, None, None]
+        abar_s = sched.abar_cat(ts - 1)[:, None, None]
+        alpha = sched.abar_cat(ts)[:, None, None] / abar_s
         theta = theta0_hat[m2]
         target = cat_posterior_theta(one_hot(y0[m2], n_cls), y_t[m2], alpha, abar_s, n_cls)
         post = cat_posterior_theta(theta, y_t[m2], alpha, abar_s, n_cls)
         loss_c[m2] = (target * (np.log(target) - np.log(post))).sum(axis=(1, 2))
         # post depends on theta through the prior factor g alone
-        g = abar_s * theta + (1.0 - abar_s) / n_cls
+        g = uniform_mix(theta, abar_s, n_cls)
         dlogits[m2] = _softmax_backward(theta, abar_s * (post - target) / g)
 
     m1 = ~m2
@@ -138,12 +141,11 @@ def bound_terms(
 def _noise(
     x0: np.ndarray, y0: np.ndarray, t: np.ndarray, sched: NoiseSchedule, rng: np.random.Generator, n_classes: int
 ):
-    """z_t ~ q(z_t | z_0) per item at timesteps t; draws image noise, then
-    label uniforms."""
-    abar_n = sched.alphabar_gauss[t - 1][:, None]
-    x_t = np.sqrt(abar_n) * x0 + np.sqrt(1.0 - abar_n) * rng.standard_normal(x0.shape)
-    theta_t = marginal_theta(y0, sched.alphabar_cat[t - 1][:, None, None], n_classes)
-    y_t = sample_rows(theta_t, rng.random(y0.shape))
+    """One draw of z_t ~ q(z_t | z_0) per item at timesteps t, from
+    process.q_marginal_arrays; draws image noise, then label uniforms."""
+    mu, var, theta = q_marginal_arrays(x0, y0, t, sched, n_classes)
+    x_t = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+    y_t = sample_rows(theta, rng.random(y0.shape))
     return x_t, y_t
 
 
@@ -204,10 +206,8 @@ def vlb_loss(
 
 def prior_term(z0: JointSample, sched: NoiseSchedule, n_classes: int) -> float:
     """KL(q(z_T | z_0) || N(0, I) x Uniform); involves no parameters."""
-    abar_n = sched.abar_gauss(sched.total_steps)
-    v = 1.0 - abar_n
-    gauss = 0.5 * (v + abar_n * z0.x**2 - 1.0 - np.log(v)).sum()
-    theta = marginal_theta(z0.y, sched.abar_cat(sched.total_steps), n_classes)
+    mu, var, theta = q_marginal_arrays(z0.x, z0.y, sched.total_steps, sched, n_classes)
+    gauss = 0.5 * (var + mu**2 - 1.0 - np.log(var)).sum()
     cat = (theta * np.log(theta * n_classes)).sum()
     return float(gauss + cat)
 

@@ -25,9 +25,9 @@ from .distribution import (
 from .metrics import frechet_gaussians
 from .process import (
     cat_posterior_theta,
-    marginal_theta,
     one_hot,
     posterior_arrays,
+    q_marginal_arrays,
     q_step_arrays,
 )
 from .schedules import NoiseSchedule, cosine_schedule
@@ -125,7 +125,8 @@ def check_bayes_posterior(n_cases: int = 1000, seed: int = 0) -> CheckResult:
 
 
 def check_marginal_induction(seed: int = 0) -> CheckResult:
-    """t-step transition products equal the closed-form marginal mixing."""
+    """t-step transition products equal the closed-form marginal mixing,
+    and q_marginal_arrays' label PMF equals the matching product row."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -138,14 +139,14 @@ def check_marginal_induction(seed: int = 0) -> CheckResult:
         closed = oracles.transition_matrix(sched.abar_cat(t), n_classes)
         worst = max(worst, float(np.max(np.abs(prod - closed))))
         y0 = int(rng.integers(1, n_classes + 1))
-        row = marginal_theta(np.array([y0]), sched.abar_cat(t), n_classes)[0]
-        worst = max(worst, float(np.max(np.abs(prod[y0 - 1] - row))))
+        _, _, theta = q_marginal_arrays(np.zeros(1), np.array([y0]), t, sched, n_classes)
+        worst = max(worst, float(np.max(np.abs(prod[y0 - 1] - theta[0]))))
     ok = worst < INDUCTION_TOL
     return CheckResult("marginal-induction", bool(ok), f"worst entry error {worst:.2e}", time.perf_counter() - t0)
 
 
 def check_marginal_monte_carlo(seed: int = 0, n_chains: int = 100_000) -> CheckResult:
-    """Chained one-step kernels vs the closed-form Gaussian marginal."""
+    """Chained one-step q_step_arrays draws vs the q_marginal_arrays law."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n_classes = 3
@@ -157,15 +158,13 @@ def check_marginal_monte_carlo(seed: int = 0, n_chains: int = 100_000) -> CheckR
     y = np.full((n_chains, 1), y0)
     for t in range(1, total + 1):
         x, y = q_step_arrays(x, y, t, sched, rng, n_classes)
-    abar = sched.abar_gauss(total)
-    mean_true = np.sqrt(abar) * x0
-    var_true = 1.0 - abar
-    mean_err = abs(x.mean() - mean_true)
+    mu, var_true, theta = q_marginal_arrays(np.array([x0]), np.array([y0]), total, sched, n_classes)
+    mean_err = abs(x.mean() - mu[0])
     mean_bound = 3.0 * np.sqrt(var_true / n_chains)
     var_err = abs(x.var(ddof=1) - var_true)
     var_bound = 3.0 * var_true * np.sqrt(2.0 / (n_chains - 1))
     freq = np.array([(y == k).mean() for k in range(1, n_classes + 1)])
-    probs = marginal_theta(np.array([y0]), sched.abar_cat(total), n_classes)[0]
+    probs = theta[0]
     freq_bound = 3.0 * np.sqrt(probs * (1 - probs) / n_chains)
     ok = mean_err < mean_bound and var_err < var_bound and np.all(np.abs(freq - probs) < freq_bound)
     return CheckResult(

@@ -91,16 +91,11 @@ class TestForward:
 
 class TestParams:
     def test_flatten_round_trip(self, tiny_model):
-        flat = tiny_model.flatten()
+        flat = tiny_model.flat.copy()
         assert flat.shape == (tiny_model.n_params,)
-        other = ReferenceDenoiser.init(tiny_model.config, seed=99, dtype=np.float64)
-        other.load_flat(flat)
+        other = ReferenceDenoiser(tiny_model.config, flat)
         for k in tiny_model.params:
             assert np.array_equal(other.params[k], tiny_model.params[k])
-
-    def test_load_flat_rejects_wrong_size(self, tiny_model):
-        with pytest.raises(ValidationError):
-            tiny_model.load_flat(np.zeros(tiny_model.n_params + 1))
 
     def test_params_are_views_of_flat(self, tiny_model):
         tiny_model.params["in_b"][0] = 7.0
@@ -127,7 +122,7 @@ class TestParams:
             label_emb_dim=2, time_emb_dim=2, cond_emb_dim=2,
         )
         a, b = ReferenceDenoiser.init(cfg, 5), ReferenceDenoiser.init(cfg, 5)
-        assert np.array_equal(a.flatten(), b.flatten())
+        assert np.array_equal(a.flat, b.flat)
 
     def test_config_validation(self):
         shape = ShapeSpec(n_gauss=2, n_cat=1, n_classes=2)

@@ -12,6 +12,7 @@ from gcdp.distribution import (
 )
 from gcdp.errors import ValidationError
 from gcdp.oracles import quad_joint_kl, quad_normalization
+from gcdp.process import one_hot
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -37,7 +38,7 @@ class TestTypes:
 
     def test_one_hot_view(self):
         z = JointSample(x=np.zeros(1), y=np.array([2, 1]))
-        assert np.array_equal(z.one_hot(3), [[0, 1, 0], [1, 0, 0]])
+        assert np.array_equal(one_hot(z.y, 3), [[0, 1, 0], [1, 0, 0]])
 
     def test_theta_renormalized_within_tolerance(self):
         p = FactorizedGCParams(mu=np.zeros(1), var=np.ones(1), theta=np.array([[0.5, 0.5 + 5e-7]]))

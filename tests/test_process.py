@@ -12,15 +12,14 @@ from gcdp.oracles import (
 from gcdp.process import (
     cat_posterior_theta,
     gauss_posterior_coeffs,
-    marginal_theta,
     one_hot,
     posterior_arrays,
-    posterior_from_clean,
     posterior_params,
+    q_marginal_arrays,
     q_marginal_params,
     q_step,
     q_step_arrays,
-    step_theta,
+    uniform_mix,
 )
 from gcdp.schedules import NoiseSchedule, cosine_schedule
 
@@ -39,8 +38,8 @@ class TestQStep:
             assert np.array_equal(zt.y, z.y)
 
     def test_full_mixing_kernel_is_uniform(self):
-        # beta = 1 is validated off in schedules; the kernel itself is testable
-        theta = step_theta(np.array([2, 1]), beta_c=1.0, n_classes=4)
+        # beta = 1 (keep = 0) is validated off in schedules; the kernel itself is testable
+        theta = uniform_mix(one_hot(np.array([2, 1]), 4), keep=0.0, n_classes=4)
         assert np.allclose(theta, 0.25)
 
     def test_binary_flip_probability(self):
@@ -72,8 +71,28 @@ class TestMarginal:
         assert params.var[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_categorical_mixture(self):
-        theta = marginal_theta(np.array([1]), abar_c=0.5, n_classes=2)
+        sched = NoiseSchedule(beta_gauss=np.array([0.5]), beta_cat=np.array([0.5]), check_terminal=False)
+        _, _, theta = q_marginal_arrays(np.zeros(1), np.array([1]), 1, sched, n_classes=2)
         assert np.allclose(theta, [[0.75, 0.25]])
+
+    def test_array_t_equals_scalar_t_row_by_row(self):
+        rng = np.random.default_rng(12)
+        for sched in (random_schedule(rng, 9), cosine_schedule(100, p=3)):
+            t = np.array([1, 2, sched.total_steps, 5, 1])
+            x0 = rng.uniform(-1, 1, (t.size, 3))
+            y0 = rng.integers(1, 5, (t.size, 2))
+            mu, var, theta = q_marginal_arrays(x0, y0, t, sched, 4)
+            assert mu.shape == x0.shape and var.shape == (t.size, 1) and theta.shape == (t.size, 2, 4)
+            for i in range(t.size):
+                mu_i, var_i, theta_i = q_marginal_arrays(x0[i], y0[i], int(t[i]), sched, 4)
+                assert np.array_equal(mu[i], mu_i) and var[i, 0] == var_i and np.array_equal(theta[i], theta_i)
+
+    def test_rejects_out_of_range_t(self):
+        sched = NoiseSchedule(beta_gauss=np.array([0.5, 0.5]), beta_cat=np.array([0.5, 0.5]), check_terminal=False)
+        x0, y0 = np.zeros((3, 1)), np.ones((3, 1), dtype=int)
+        for t in (0, 3, np.array([1, 0, 2]), np.array([2, 2, 3])):
+            with pytest.raises(ValidationError):
+                q_marginal_arrays(x0, y0, t, sched, 2)
 
     def test_induction_matches_transition_products(self):
         rng = np.random.default_rng(2)
@@ -86,8 +105,8 @@ class TestMarginal:
             closed = transition_matrix(sched.abar_cat(t), k)
             assert np.max(np.abs(prod - closed)) < 1e-12
             y0 = int(rng.integers(1, k + 1))
-            row = marginal_theta(np.array([y0]), sched.abar_cat(t), k)[0]
-            assert np.max(np.abs(prod[y0 - 1] - row)) < 1e-12
+            _, _, theta = q_marginal_arrays(np.zeros(1), np.array([y0]), t, sched, k)
+            assert np.max(np.abs(prod[y0 - 1] - theta[0])) < 1e-12
 
     def test_chained_steps_reproduce_marginal(self):
         rng = np.random.default_rng(3)
@@ -199,15 +218,6 @@ class TestPosterior:
         z = JointSample(x=np.zeros(1), y=np.array([1]))
         with pytest.raises(ValidationError):
             posterior_params(np.zeros(1), one_hot(np.array([1]), 2), z, 1, sched)
-
-    def test_posterior_from_clean_wrapper(self):
-        rng = np.random.default_rng(7)
-        sched = random_schedule(rng, 4)
-        z0 = JointSample(x=rng.standard_normal(3), y=rng.integers(1, 4, 2))
-        z_t = JointSample(x=rng.standard_normal(3), y=rng.integers(1, 4, 2))
-        a = posterior_from_clean(z0, z_t, 3, sched, 3)
-        b = posterior_params(z0.x, one_hot(z0.y, 3), z_t, 3, sched)
-        assert np.array_equal(a.theta, b.theta) and np.array_equal(a.mu, b.mu)
 
 
 class TestStride:

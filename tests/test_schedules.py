@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcdp.errors import ValidationError
-from gcdp.schedules import NoiseSchedule, accumulate, cosine_beta, cosine_schedule, power_coupled
+from gcdp.schedules import NoiseSchedule, accumulate, cosine_schedule, power_coupled
 
 from conftest import random_schedule
 
@@ -25,7 +25,7 @@ class TestCosine:
         assert sched.alphabar_cat[-1] < 1e-3
 
     def test_betas_in_clip_range(self):
-        beta = cosine_beta(1000, 0.008)
+        beta = cosine_schedule(1000, 0.008).beta_gauss
         assert np.all(beta > 0.0)
         assert np.all(beta <= 0.999)
 
@@ -37,11 +37,11 @@ class TestCosine:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
-            cosine_beta(0)
+            cosine_schedule(0)
         with pytest.raises(ValidationError):
-            cosine_beta(10, 0.0)
+            cosine_schedule(10, 0.0)
         with pytest.raises(ValidationError):
-            cosine_beta(10, 0.2)
+            cosine_schedule(10, 0.2)
 
 
 class TestPowerCoupled:
@@ -78,9 +78,9 @@ class TestPowerCoupled:
     @pytest.mark.parametrize("total", [10, 100, 1000])
     def test_p1_schedule_is_the_clipped_cosine(self, total):
         sched = cosine_schedule(total, p=1.0)
-        beta = cosine_beta(total)
-        assert np.array_equal(sched.beta_gauss, beta)
-        assert np.array_equal(sched.beta_cat, np.minimum(beta**1.0, 0.999))
+        f = np.cos((np.arange(total + 1) / total + 0.008) / (1.0 + 0.008) * np.pi / 2.0) ** 2
+        assert np.array_equal(sched.beta_gauss, np.minimum(1.0 - f[1:] / f[:-1], 0.999))
+        assert np.array_equal(sched.beta_cat, sched.beta_gauss)
 
     def test_larger_p_weakens_noise_pointwise(self):
         rng = np.random.default_rng(0)
@@ -123,7 +123,7 @@ class TestNoiseSchedule:
                 assert np.max(np.abs(abar / prev - alpha) / alpha) < 1e-12
 
     def test_p1_chains_bit_identical(self):
-        beta = cosine_beta(100)
+        beta = cosine_schedule(100).beta_gauss
         sched = NoiseSchedule(beta_gauss=beta, beta_cat=power_coupled(beta, 1.0))
         assert np.array_equal(sched.alphabar_gauss, sched.alphabar_cat)
 
@@ -146,3 +146,19 @@ class TestNoiseSchedule:
             sched.abar_gauss(11)
         with pytest.raises(ValidationError):
             sched._check_t(0)
+
+    def test_array_lookups_equal_scalar_ones(self):
+        sched = cosine_schedule(100, p=3)
+        t = np.array([[0, 1, 2], [50, 99, 100]])
+        for lookup in (sched.abar_gauss, sched.abar_cat):
+            abar = lookup(t)
+            assert abar.shape == t.shape
+            assert all(abar[i] == lookup(int(t[i])) for i in np.ndindex(t.shape))
+        assert isinstance(sched.abar_gauss(3), float)
+
+    def test_array_lookup_range_checks_every_entry(self):
+        sched = cosine_schedule(10)
+        for t in (np.array([0, 5, 11]), np.array([-1, 3]), np.array([[10], [11]])):
+            for lookup in (sched.abar_gauss, sched.abar_cat):
+                with pytest.raises(ValidationError):
+                    lookup(t)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from gcdp import training
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
 from gcdp.distribution import JointSample, ShapeSpec, kl_divergence
 from gcdp.errors import NumericalError, ValidationError
 from gcdp.oracles import finite_diff_grads, max_rel_error
-from gcdp.process import one_hot, posterior_params
+from gcdp.process import one_hot, posterior_params, q_marginal_arrays
 from gcdp.schedules import NoiseSchedule, cosine_schedule
 from gcdp.training import (
     AdamState,
@@ -93,6 +94,26 @@ class TestVlbLoss:
         vlb_terms(z0, 1, small_model, sched, rng)
         assert rows == [7]
 
+    def test_loss_and_bound_draw_z_t_from_the_marginal_once(self, small_model, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return q_marginal_arrays(*args)
+
+        monkeypatch.setattr(training, "q_marginal_arrays", counting)
+        rng = np.random.default_rng(3)
+        sched = random_schedule(rng, 7)
+        s = small_model.config.shape
+        x0 = rng.uniform(-1, 1, (5, s.n_gauss))
+        y0 = rng.integers(1, s.n_classes + 1, (5, s.n_cat))
+        vlb_loss(x0, y0, np.zeros(5, dtype=np.int64), small_model, sched, rng)
+        assert len(calls) == 1 and calls[0].shape == (5,)
+        calls.clear()
+        vlb_terms(JointSample(x=x0[0], y=y0[0]), 1, small_model, sched, rng)
+        # the per-t draw over all T rows, then the prior term at t = T
+        assert len(calls) == 2 and np.array_equal(calls[0], np.arange(1, 8)) and calls[1] == 7
+
     def test_prior_term_ignores_parameters(self, small_model):
         rng = np.random.default_rng(4)
         sched = random_schedule(rng, 7)
@@ -154,7 +175,9 @@ class TestVlbLoss:
         assert parts2.gauss == pytest.approx(parts1.gauss, rel=1e-12)
 
 
-@pytest.mark.parametrize("sched", [random_schedule(np.random.default_rng(12), 12), cosine_schedule(100, p=3)])
+@pytest.mark.parametrize(
+    "sched", [random_schedule(np.random.default_rng(12), 12), cosine_schedule(100, p=3), cosine_schedule(1000)]
+)
 def test_bound_terms_are_posterior_kls(sched):
     # for t >= 2 each item's term is KL(posterior from z0 || posterior from the prediction)
     rng = np.random.default_rng(13)
@@ -167,11 +190,18 @@ def test_bound_terms_are_posterior_kls(sched):
     x0_hat = rng.uniform(-1, 1, (batch, n))
     theta0_hat = softmax(2.0 * rng.standard_normal((batch, m, k)))
     gauss, cat, _, _ = bound_terms(x0, y0, y_t, t, x0_hat, theta0_hat, sched)
+    # a prediction within 0.05 of x0 leaves a mean gap small against the
+    # posterior variance; the Gaussian term alone must still be the KL, to
+    # 1e-10 relative (abs=0: these KLs sit near approx's default 1e-12)
+    near = x0 + 0.05 * rng.uniform(-1, 1, (batch, n))
+    gauss_near, _, _, _ = bound_terms(x0, y0, y_t, t, near, theta0_hat, sched)
     for i in range(batch):
         z_t = JointSample(x=x_t[i], y=y_t[i])
         clean = posterior_params(x0[i], one_hot(y0[i], k), z_t, t[i], sched)
         pred = posterior_params(x0_hat[i], theta0_hat[i], z_t, t[i], sched)
         assert gauss[i] + cat[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10)
+        pred = posterior_params(near[i], one_hot(y0[i], k), z_t, t[i], sched)
+        assert gauss_near[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10, abs=0)
 
 
 class TestCondDropout:
@@ -224,9 +254,9 @@ class TestDiscretizedGaussian:
 class TestTrain:
     def test_zero_steps_returns_model_unchanged(self):
         model, sched, data = toy_problem()
-        before = model.flatten().copy()
+        before = model.flat.copy()
         model, opt, trace = train(data, model, sched, TrainConfig(steps=0, batch_size=4, seed=0))
-        assert np.array_equal(model.flatten(), before)
+        assert np.array_equal(model.flat, before)
         assert trace == []
 
     def test_same_seed_identical_parameters(self):
@@ -234,7 +264,7 @@ class TestTrain:
         for _ in range(2):
             model, sched, data = toy_problem(seed=3)
             model, _, trace = train(data, model, sched, TrainConfig(steps=30, batch_size=4, seed=11, log_every=10))
-            cfgs.append((model.flatten(), trace))
+            cfgs.append((model.flat, trace))
         assert np.array_equal(cfgs[0][0], cfgs[1][0])
         assert cfgs[0][1] == cfgs[1][1]
 
