@@ -24,7 +24,7 @@ from .distribution import ShapeSpec
 from .errors import NumericalError, UsageError, ValidationError
 from .metrics import EvalReport, fsd, joint_tv, miou, semantic_f, semantic_precision, semantic_recall
 from .sampler import GuidanceConfig, default_stride, outpaint_batch, sample_batch
-from .scenes import SceneConfig, dataset_arrays, generate, oracle_segment
+from .scenes import SceneConfig, generate, oracle_segment
 from .schedules import cosine_schedule
 from .training import TrainConfig, train
 from .verify import run_all
@@ -194,8 +194,7 @@ def cmd_generate_data(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    scene, samples = gio.load_dataset(_require(cfg, "data"))
-    data = dataset_arrays(samples)
+    scene, data = gio.load_dataset_arrays(_require(cfg, "data"))
     sched = cosine_schedule(cfg["T"], cfg["cosine_s"], cfg["p_power"])
     shape = ShapeSpec(n_gauss=scene.n_pixels, n_cat=scene.n_pixels, n_classes=scene.n_classes)
     dcfg = DenoiserConfig(
@@ -275,14 +274,14 @@ def _build_mask(mode: str, mask_path: str, n: int, m: int) -> np.ndarray:
 
 def cmd_outpaint(cfg: dict) -> int:
     ck = gio.load_checkpoint(_require(cfg, "ckpt"))
-    scene, samples = gio.load_dataset(_require(cfg, "known"))
-    count = cfg["count"] if cfg["count"] > 0 else len(samples)
-    if count > len(samples):
-        raise ValidationError(f"requested {count} samples but the known file holds {len(samples)}")
-    samples = samples[:count]
+    _, (known_x, known_y, conds) = gio.load_dataset_arrays(_require(cfg, "known"))
+    n_known = known_x.shape[0]
+    count = cfg["count"] if cfg["count"] > 0 else n_known
+    if count > n_known:
+        raise ValidationError(f"requested {count} samples but the known file holds {n_known}")
+    known_x, known_y, conds = known_x[:count], known_y[:count], conds[:count]
     shape = ck.model.config.shape
     mask = _build_mask(cfg["mask_mode"], cfg["mask"], shape.n_gauss, shape.n_cat)
-    known_x, known_y, conds = dataset_arrays(samples)
     if cfg["cond"] >= 0:
         conds = np.full(count, cfg["cond"], dtype=np.int64)
     guidance = GuidanceConfig(scale=cfg["guidance_w"], enabled=bool(np.all(conds >= 0)))
@@ -340,9 +339,8 @@ def evaluate_samples(
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    scene, ref_samples = gio.load_dataset(_require(cfg, "data"))
+    scene, (_, ref_layouts, _) = gio.load_dataset_arrays(_require(cfg, "data"))
     images, layouts, conds = _load_sample_dir(Path(_require(cfg, "samples")))
-    _, ref_layouts, _ = dataset_arrays(ref_samples)
     report = evaluate_samples(images, layouts, conds, scene, ref_layouts)
     out = _out_dir(cfg, "evaluate")
     text = gio.report_to_text(report)

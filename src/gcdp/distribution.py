@@ -9,6 +9,16 @@ independent categorical C(theta_i) over the M label positions,
 Labels are 1-based: y_i in {1..K}. Only this factorized parameterization
 is supported; the general mixture with a separate Gaussian per label state
 appears solely inside small-instance test oracles.
+
+This module also holds the class-axis kernels: row_sum, row_max, softmax
+and the inverse-CDF draw sample_rows. Every reduction over the trailing
+class axis of length K in the loss, the posterior and the samplers goes
+through them. numpy reduces a short trailing axis many times slower than
+it applies an elementwise ufunc to the same array, so the kernels loop
+over the K slices with elementwise ufuncs instead. For
+K <= 7 numpy sums such an axis sequentially, and row_sum gives its result
+bit for bit; from K = 8 numpy sums pairwise and the two differ in the last
+bits.
 """
 
 from dataclasses import dataclass
@@ -135,14 +145,47 @@ def log_pdf(params: FactorizedGCParams, z: JointSample) -> float:
     return float(cat + gauss)
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the trailing axis (K >= 2), kept as an axis of length 1: the
+    K slices added in order, which for K <= 7 equals a.sum(axis=-1,
+    keepdims=True) bit for bit."""
+    out = np.add(a[..., 0], a[..., 1])
+    for k in range(2, a.shape[-1]):
+        out += a[..., k]
+    return out[..., None]
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the trailing axis (K >= 2), kept as an axis of length 1;
+    equal to a.max(axis=-1, keepdims=True) for every K."""
+    out = np.maximum(a[..., 0], a[..., 1])
+    for k in range(2, a.shape[-1]):
+        np.maximum(out, a[..., k], out=out)
+    return out[..., None]
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """PMF rows exp(l - max l) / sum exp(l - max l) over the trailing axis,
+    in one new array."""
+    e = logits - row_max(logits)
+    np.exp(e, out=e)
+    e /= row_sum(e)
+    return e
+
+
 def sample_rows(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF categorical draw per row; theta (..., K), u (...) in [0,1).
 
-    Returns 1-based labels with the trailing axis of theta reduced away.
+    Returns 1-based labels with the trailing axis of theta reduced away: one
+    plus the number of the first K-1 cumulative sums that u exceeds, so a
+    row whose sums stay below u gets label K.
     """
-    cum = np.cumsum(theta, axis=-1)
-    idx = (u[..., None] > cum).sum(axis=-1)
-    return np.minimum(idx, theta.shape[-1] - 1) + 1
+    cum = np.zeros_like(theta[..., 0])
+    idx = np.ones(cum.shape, dtype=np.int64)
+    for k in range(theta.shape[-1] - 1):
+        cum += theta[..., k]
+        idx += u > cum
+    return idx
 
 
 def sample(params: FactorizedGCParams, rng: np.random.Generator) -> JointSample:

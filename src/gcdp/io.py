@@ -129,11 +129,6 @@ class Reader:
         raw = self._take(8 * n, field)
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
-    def u16_array(self, field: str) -> np.ndarray:
-        n = self.u32(field + ".len")
-        raw = self._take(2 * n, field)
-        return np.frombuffer(raw, dtype="<u2").astype(np.int64)
-
     def expect_magic(self, magic: bytes):
         got = self._take(len(magic), "magic")
         if got != magic:
@@ -265,7 +260,43 @@ def dataset_bytes(cfg: SceneConfig, samples: list[SceneSample]) -> bytes:
     return w.finish()
 
 
-def dataset_from_bytes(data: bytes, name: str = "dataset") -> tuple[SceneConfig, list[SceneSample]]:
+def _record_dtype(n_pixels: int) -> np.dtype:
+    """One fixed-size dataset record: the length-prefixed image and labels,
+    then the condition ID."""
+    return np.dtype([
+        ("x_len", "<u4"), ("x", "<f4", (n_pixels,)),
+        ("y_len", "<u4"), ("y", "<u2", (n_pixels,)),
+        ("cond", "<u4"),
+    ])
+
+
+def _record_fault(r: Reader, i: int, n_pixels: int):
+    """Read record i field by field from r's offset and raise FormatError at
+    its first structural fault (a wrong length or the end of the data)."""
+    for field, width in (("x", 4), ("y", 2)):
+        n = r.u32(f"sample[{i}].{field}.len")
+        if n != n_pixels:
+            raise FormatError(
+                f"{r.name}: sample {i} has {n} {field} entries, expected {n_pixels}",
+                offset=r.off - 4, field=f"sample[{i}].{field}.len",
+            )
+        r._take(width * n, f"sample[{i}].{field}")
+    r.u32(f"sample[{i}].cond")
+    raise AssertionError(f"record {i} has no structural fault")
+
+
+def dataset_arrays_from_bytes(
+    data: bytes, name: str = "dataset"
+) -> tuple[SceneConfig, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(config, (images (n, N) float64, labels (n, N) int64, conditions
+    (n,) int64)) of a dataset file.
+
+    The records have a fixed size, so one structured view parses them all.
+    The first faulty record is reported with the byte offset and name of
+    its first bad field: a wrong length, a non-finite pixel, a label outside
+    1..K, a condition ID outside the grammar's class sets, or the end of
+    the data.
+    """
     r = Reader(_checked_payload(data, name), name)
     r.expect_magic(DATASET_MAGIC)
     r.expect_version()
@@ -287,16 +318,41 @@ def dataset_from_bytes(data: bytes, name: str = "dataset") -> tuple[SceneConfig,
         sigma_data=sigma, grammar=tuple(grammar), seed=seed,
     )
     count = r.u32("count")
-    samples = []
-    for i in range(count):
-        x = r.f32_array(f"sample[{i}].x").astype(np.float64)
-        y = r.u16_array(f"sample[{i}].y")
-        cond = r.u32(f"sample[{i}].cond")
-        if x.size != cfg.n_pixels or y.size != cfg.n_pixels:
-            raise FormatError(f"{name}: sample {i} has wrong length", offset=r.off, field=f"sample[{i}]")
-        samples.append(SceneSample(sample=JointSample(x=x, y=y), cond=int(cond)))
+    n_pix = cfg.n_pixels
+    rec = _record_dtype(n_pix)
+    base = r.off
+    recs = np.frombuffer(r.data, dtype=rec, count=min(count, (len(r.data) - base) // rec.itemsize), offset=base)
+    # records before the first wrong length (or the first incomplete one) parse cleanly
+    bad_len = np.flatnonzero((recs["x_len"] != n_pix) | (recs["y_len"] != n_pix))
+    n_ok = int(bad_len[0]) if bad_len.size else recs.shape[0]
+    x32, y16, c32 = recs["x"][:n_ok], recs["y"][:n_ok], recs["cond"][:n_ok]
+    faults = (
+        ("x", ~np.isfinite(x32), "a non-finite pixel"),
+        ("y", (y16 < 1) | (y16 > n_classes), f"a label outside 1..{n_classes}"),
+        ("cond", (c32 >= cfg.n_conds)[:, None], f"a condition ID outside 0..{cfg.n_conds - 1}"),
+    )
+    bad = np.flatnonzero(np.any([mask.any(axis=1) for _, mask, _ in faults], axis=0))
+    if bad.size:
+        i = int(bad[0])
+        for field, mask, what in faults:
+            if mask[i].any():
+                j = int(np.argmax(mask[i]))
+                sub, pos = rec.fields[field]
+                raise FormatError(
+                    f"{name}: sample {i} has {what} ({np.ravel(recs[field][i])[j].item()} at entry {j})",
+                    offset=base + i * rec.itemsize + pos + sub.base.itemsize * j, field=f"sample[{i}].{field}",
+                )
+    if n_ok < count:
+        r.off = base + n_ok * rec.itemsize
+        _record_fault(r, n_ok, n_pix)
+    r.off = base + count * rec.itemsize
     r.done()
-    return cfg, samples
+    return cfg, (x32.astype(np.float64), y16.astype(np.int64), c32.astype(np.int64))
+
+
+def dataset_from_bytes(data: bytes, name: str = "dataset") -> tuple[SceneConfig, list[SceneSample]]:
+    cfg, (x, y, c) = dataset_arrays_from_bytes(data, name)
+    return cfg, [SceneSample(sample=JointSample(x=xi, y=yi), cond=int(ci)) for xi, yi, ci in zip(x, y, c)]
 
 
 def save_dataset(path, cfg: SceneConfig, samples: list[SceneSample]):
@@ -305,6 +361,11 @@ def save_dataset(path, cfg: SceneConfig, samples: list[SceneSample]):
 
 def load_dataset(path) -> tuple[SceneConfig, list[SceneSample]]:
     return dataset_from_bytes(Path(path).read_bytes(), name=str(path))
+
+
+def load_dataset_arrays(path) -> tuple[SceneConfig, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The arrays of a dataset file, as dataset_arrays_from_bytes gives them."""
+    return dataset_arrays_from_bytes(Path(path).read_bytes(), name=str(path))
 
 
 def mask_bytes(mask: np.ndarray) -> bytes:

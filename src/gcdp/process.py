@@ -37,7 +37,7 @@ JointSample wrappers are the single-sample surface.
 
 import numpy as np
 
-from .distribution import FactorizedGCParams, JointSample, sample_rows
+from .distribution import FactorizedGCParams, JointSample, row_sum, sample_rows
 from .errors import ValidationError
 from .schedules import NoiseSchedule
 
@@ -136,7 +136,7 @@ def cat_posterior_theta(
     like = uniform_mix(one_hot(y_t, n_classes), alpha_eff, n_classes)
     prior = uniform_mix(theta0, abar_s, n_classes)
     unnorm = like * prior
-    z = np.maximum(unnorm.sum(axis=-1, keepdims=True), NORM_FLOOR)
+    z = np.maximum(row_sum(unnorm), NORM_FLOOR)
     return unnorm / z
 
 

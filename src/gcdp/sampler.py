@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import ReferenceDenoiser
-from .distribution import JointSample, sample_rows
+from .distribution import JointSample, sample_rows, softmax
 from .errors import NumericalError, ValidationError
 from .process import posterior_arrays, q_marginal_arrays, q_step_arrays
 from .schedules import NoiseSchedule
-from .training import softmax
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .denoiser import ReferenceDenoiser
-from .distribution import JointSample, sample_rows
+from .distribution import JointSample, row_sum, sample_rows, softmax
 from .errors import NumericalError, ValidationError
 from .process import cat_posterior_theta, gauss_posterior_coeffs, one_hot, q_marginal_arrays, uniform_mix
 from .schedules import NoiseSchedule
@@ -40,12 +40,6 @@ from .schedules import NoiseSchedule
 N_BINS = 256
 BIN_MASS_FLOOR = 1e-12
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def discretized_gauss_loglik(x0: np.ndarray, mu: np.ndarray, sigma: float):
@@ -75,7 +69,7 @@ def _label_nll(theta: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
 
 def _softmax_backward(theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    inner = (dtheta * theta).sum(axis=-1, keepdims=True)
+    inner = row_sum(dtheta * theta)
     return theta * (dtheta - inner)
 
 
@@ -138,14 +132,11 @@ def bound_terms(
     return loss_g, loss_c, dx0_hat, dlogits
 
 
-def _noise(
-    x0: np.ndarray, y0: np.ndarray, t: np.ndarray, sched: NoiseSchedule, rng: np.random.Generator, n_classes: int
-):
-    """One draw of z_t ~ q(z_t | z_0) per item at timesteps t, from
-    process.q_marginal_arrays; draws image noise, then label uniforms."""
-    mu, var, theta = q_marginal_arrays(x0, y0, t, sched, n_classes)
+def _noise(mu: np.ndarray, var: np.ndarray, theta: np.ndarray, rng: np.random.Generator):
+    """One draw of z_t from the marginal (mu, var, theta) that
+    process.q_marginal_arrays gives; draws image noise, then label uniforms."""
     x_t = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    y_t = sample_rows(theta, rng.random(y0.shape))
+    y_t = sample_rows(theta, rng.random(theta.shape[:-1]))
     return x_t, y_t
 
 
@@ -178,7 +169,7 @@ def vlb_loss(
     shape = model.config.shape
 
     t = rng.integers(1, sched.total_steps + 1, size=batch)
-    x_t, y_t = _noise(x0, y0, t, sched, rng, shape.n_classes)
+    x_t, y_t = _noise(*q_marginal_arrays(x0, y0, t, sched, shape.n_classes), rng)
     dropped = rng.random(batch) < cond_dropout
     cond_in = np.where(dropped, -1, np.asarray(cond, dtype=np.int64))
 
@@ -204,12 +195,16 @@ def vlb_loss(
     return loss, grads, LossBreakdown(float(loss_g.mean()), float(lambda_cat * loss_c.mean()))
 
 
-def prior_term(z0: JointSample, sched: NoiseSchedule, n_classes: int) -> float:
-    """KL(q(z_T | z_0) || N(0, I) x Uniform); involves no parameters."""
-    mu, var, theta = q_marginal_arrays(z0.x, z0.y, sched.total_steps, sched, n_classes)
+def _prior_kl(mu: np.ndarray, var: float | np.ndarray, theta: np.ndarray, n_classes: int) -> float:
+    """KL of the factorized law (mu, var, theta) from N(0, I) x Uniform."""
     gauss = 0.5 * (var + mu**2 - 1.0 - np.log(var)).sum()
     cat = (theta * np.log(theta * n_classes)).sum()
     return float(gauss + cat)
+
+
+def prior_term(z0: JointSample, sched: NoiseSchedule, n_classes: int) -> float:
+    """KL(q(z_T | z_0) || N(0, I) x Uniform); involves no parameters."""
+    return _prior_kl(*q_marginal_arrays(z0.x, z0.y, sched.total_steps, sched, n_classes), n_classes)
 
 
 def vlb_terms(
@@ -224,8 +219,9 @@ def vlb_terms(
     """Single-draw estimates of every bound term, [L_0, ..., L_{T-1}, L_T].
 
     The full bound is the sum of the returned array; the final entry is
-    the parameter-free prior term. One forward pass covers all T steps, and
-    the generator gives the image noise of every step, then the label
+    the parameter-free prior term, prior_term's value taken from the t = T
+    row of the marginal the draw uses. One forward pass covers all T steps,
+    and the generator gives the image noise of every step, then the label
     uniforms of every step.
     """
     big_t = sched.total_steps
@@ -233,10 +229,11 @@ def vlb_terms(
     t = np.arange(1, big_t + 1)
     x0 = np.broadcast_to(z0.x, (big_t, z0.x.shape[0]))
     y0 = np.broadcast_to(z0.y, (big_t, z0.y.shape[0]))
-    x_t, y_t = _noise(x0, y0, t, sched, rng, n_cls)
+    mu, var, theta = q_marginal_arrays(x0, y0, t, sched, n_cls)
+    x_t, y_t = _noise(mu, var, theta, rng)
     x0_hat, logits, _ = model.forward_batch(x_t, y_t, t, np.full(big_t, cond))
     loss_g, loss_c, _, _ = bound_terms(x0, y0, y_t, t, x0_hat, softmax(logits), sched)
-    return np.append(loss_g + lambda_cat * loss_c, prior_term(z0, sched, n_cls))
+    return np.append(loss_g + lambda_cat * loss_c, _prior_kl(mu[-1], var[-1], theta[-1], n_cls))
 
 
 @dataclass

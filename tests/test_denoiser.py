@@ -177,3 +177,55 @@ def test_float32_forward_matches_float64_copy():
     assert x32.dtype == l32.dtype == np.float64
     for a, b in ((x32, x64), (l32, l64)):
         assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+
+def reference_forward(model, x_t, y_t, t, cond):
+    """The forward pass as first written: one concatenation of the input
+    parts, out-of-place sums and softplus. Same return contract."""
+    cfg, s, p = model.config, model.config.shape, model.params
+    dtype = model.flat.dtype
+    y_t = np.asarray(y_t, dtype=np.int64)
+    batch = x_t.shape[0]
+    c_idx = np.where(cond < 0, cfg.n_conds, cond)
+    e_lab = p["label_emb"][y_t - 1].reshape(batch, -1)
+    h0 = np.concatenate(
+        [x_t.astype(dtype, copy=False), e_lab, time_embedding(t, cfg.time_emb_dim).astype(dtype),
+         p["cond_emb"][c_idx]],
+        axis=1,
+    )
+    h = h0 @ p["in_w"] + p["in_b"]
+    blocks = []
+    for b in range(cfg.n_blocks):
+        a = h @ p[f"blk{b}_w1"] + p[f"blk{b}_b1"]
+        u = np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+        blocks.append((h, a, u))
+        h = h + u @ p[f"blk{b}_w2"] + p[f"blk{b}_b2"]
+    x0_hat = h @ p["head_x_w"] + p["head_x_b"]
+    logits = (h @ p["head_y_w"] + p["head_y_b"]).reshape(batch, s.n_cat, s.n_classes)
+    cache = (h0, blocks, h, y_t, c_idx)
+    return x0_hat.astype(np.float64), logits.astype(np.float64), cache
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 32, 64])
+def test_forward_and_backward_are_bitwise_the_reference(dtype, batch):
+    cfg = DenoiserConfig(shape=ShapeSpec(n_gauss=16, n_cat=16, n_classes=4), n_conds=3, hidden=32, n_blocks=2)
+    model = ReferenceDenoiser.init(cfg, seed=batch, dtype=dtype)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 16))
+    y = rng.integers(1, 5, (batch, 16))
+    t = rng.integers(1, 101, batch)
+    cond = rng.integers(-1, 3, batch)  # -1 selects the null row
+    dx = rng.standard_normal((batch, 16))
+    dl = rng.standard_normal((batch, 16, 4))
+    x0_hat, logits, cache = model.forward_batch(x, y, t, cond)
+    ref_x0, ref_logits, ref_cache = reference_forward(model, x, y, t, cond)
+    assert np.array_equal(x0_hat, ref_x0) and np.array_equal(logits, ref_logits)
+    h0, blocks, h, _, _ = cache
+    assert np.array_equal(h0, ref_cache[0]) and np.array_equal(h, ref_cache[2])
+    for got, want in zip(blocks, ref_cache[1]):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    grads = model.backward_batch(cache, dx, dl)
+    assert np.array_equal(grads, model.backward_batch(ref_cache, dx, dl))
+    # a second backward over the same cache sees it unchanged
+    assert np.array_equal(grads, model.backward_batch(cache, dx, dl))

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,72 @@ class TestDataset:
         blob[len(blob) // 2] ^= 0x01
         with pytest.raises(FormatError, match="checksum"):
             gio.dataset_from_bytes(bytes(blob))
+
+    def test_arrays_match_the_samples(self):
+        cfg = SceneConfig(seed=6)
+        blob = gio.dataset_bytes(cfg, generate(cfg, 9))
+        cfg2, (x, y, c) = gio.dataset_arrays_from_bytes(blob)
+        _, samples = gio.dataset_from_bytes(blob)
+        assert (cfg2.height, cfg2.width, cfg2.n_classes, cfg2.seed) == (cfg.height, cfg.width, cfg.n_classes, cfg.seed)
+        assert (x.dtype, y.dtype, c.dtype) == (np.float64, np.int64, np.int64)
+        for got, want in zip((x, y, c), dataset_arrays(samples)):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def _bad_record(fault):
+        """A 5-record 8x8 dataset with one record field rewritten as fault
+        names, re-checksummed; returns (file bytes, offset, field)."""
+        cfg = SceneConfig(seed=7)
+        payload = bytearray(gio.dataset_bytes(cfg, generate(cfg, 5))[:-4])
+        n = cfg.n_pixels
+        size = 12 + 6 * n
+        base = len(payload) - 5 * size
+        if fault == "length":
+            off, field = base + 2 * size + 4 + 4 * n, "sample[2].y.len"
+            struct.pack_into("<I", payload, off, n + 1)
+        elif fault == "nan":
+            off, field = base + 3 * size + 4 + 4 * 7, "sample[3].x"
+            struct.pack_into("<f", payload, off, float("nan"))
+        elif fault in ("label", "label_above_k"):
+            off, field = base + size + 8 + 4 * n + 2 * 9, "sample[1].y"
+            struct.pack_into("<H", payload, off, 0 if fault == "label" else cfg.n_classes + 1)
+        else:
+            off, field = base + 4 * size + 8 + 6 * n, "sample[4].cond"
+            struct.pack_into("<I", payload, off, cfg.n_conds)
+        payload += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+        return bytes(payload), off, field
+
+    @pytest.mark.parametrize("fault", ["length", "nan", "label", "label_above_k", "cond"])
+    def test_bad_record_reports_offset_and_field(self, fault, tmp_path):
+        blob, off, field = self._bad_record(fault)
+        for read in (gio.dataset_arrays_from_bytes, gio.dataset_from_bytes):
+            with pytest.raises(FormatError) as e:
+                read(blob)
+            assert (e.value.offset, e.value.field) == (off, field)
+        path = tmp_path / "bad.gcds"
+        path.write_bytes(blob)
+        assert cli_main(["train", "--data", str(path), "--steps", "0", "--out", str(tmp_path / "t")]) == 2
+
+    def test_first_bad_record_is_reported(self):
+        cfg = SceneConfig(seed=8)
+        payload = bytearray(gio.dataset_bytes(cfg, generate(cfg, 4))[:-4])
+        n = cfg.n_pixels
+        size = 12 + 6 * n
+        base = len(payload) - 4 * size
+        struct.pack_into("<I", payload, base + 3 * size, n - 1)  # record 3: x length
+        struct.pack_into("<H", payload, base + size + 8 + 4 * n, 0)  # record 1: label
+        payload += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+        with pytest.raises(FormatError) as e:
+            gio.dataset_arrays_from_bytes(bytes(payload))
+        assert e.value.field == "sample[1].y"
+
+    def test_truncated_record_reports_offset(self):
+        cfg = SceneConfig(seed=9)
+        payload = gio.dataset_bytes(cfg, generate(cfg, 3))[:-4][:-3]
+        blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        with pytest.raises(FormatError, match="truncated") as e:
+            gio.dataset_arrays_from_bytes(blob)
+        assert e.value.field == "sample[2].cond"
 
 
 class TestMask:

@@ -3,7 +3,7 @@ import pytest
 
 from gcdp import training
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
-from gcdp.distribution import JointSample, ShapeSpec, kl_divergence
+from gcdp.distribution import JointSample, ShapeSpec, kl_divergence, softmax
 from gcdp.errors import NumericalError, ValidationError
 from gcdp.oracles import finite_diff_grads, max_rel_error
 from gcdp.process import one_hot, posterior_params, q_marginal_arrays
@@ -14,7 +14,6 @@ from gcdp.training import (
     bound_terms,
     discretized_gauss_loglik,
     prior_term,
-    softmax,
     train,
     vlb_loss,
     vlb_terms,
@@ -111,8 +110,16 @@ class TestVlbLoss:
         assert len(calls) == 1 and calls[0].shape == (5,)
         calls.clear()
         vlb_terms(JointSample(x=x0[0], y=y0[0]), 1, small_model, sched, rng)
-        # the per-t draw over all T rows, then the prior term at t = T
-        assert len(calls) == 2 and np.array_equal(calls[0], np.arange(1, 8)) and calls[1] == 7
+        # one draw over all T rows; the prior term reads its t = T row
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(1, 8))
+
+    def test_last_bound_term_is_the_prior_term(self, small_model):
+        rng = np.random.default_rng(5)
+        s = small_model.config.shape
+        for sched in (random_schedule(rng, 7), cosine_schedule(100, p=3)):
+            z0 = JointSample(x=rng.uniform(-1, 1, s.n_gauss), y=rng.integers(1, s.n_classes + 1, s.n_cat))
+            terms = vlb_terms(z0, 1, small_model, sched, rng)
+            assert terms[-1] == prior_term(z0, sched, s.n_classes)
 
     def test_prior_term_ignores_parameters(self, small_model):
         rng = np.random.default_rng(4)

@@ -1,0 +1,120 @@
+"""Byte-level equivalence of two gcdp source trees.
+
+    python3 tools/equivalence.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+Runs one fixed set of `gcdp` calls against each `src` directory, in a
+subprocess that imports gcdp from that directory with BLAS pinned to one
+thread, and compares every output directory by `perfbench.checks.tree_digest`
+(all files except config.txt, which names the output directory). The calls:
+
+  generate-data  a 256-scene 8x8 training set and a 4-scene known set
+  train          40 steps at T in {100, 1000} x p in {1, 3}
+  sample         on each checkpoint, stride 100 and 10, unguided and at w=2
+  outpaint       on each checkpoint, layout (n=1) and image (n=5)
+
+Prints one row per call with both digests and wall times, and exits 0 when
+every digest is equal, 1 otherwise. Outputs go to DIR/{parent,change}/ (a
+temporary directory that is removed afterwards when --work is not given).
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from perfbench.checks import tree_digest  # noqa: E402
+from perfbench.run import THREAD_VARS  # noqa: E402
+
+SCENE = ["--height", 8, "--width", 8, "--classes", 4]
+MODEL = ["--steps", 40, "--batch", 64, "--log-every", 10, "--seed", 3]
+SCHEDULES = [(100, 1.0), (100, 3.0), (1000, 1.0), (1000, 3.0)]
+N_SAMPLES = 8
+N_KNOWN = 4
+
+
+def calls() -> list[tuple[str, list]]:
+    """(output name, argv without --out) in run order; later calls read the
+    outputs of earlier ones by name, as {out:NAME}/FILE."""
+    out = [
+        ("data", ["generate-data", *SCENE, "--count", 256, "--seed", 1]),
+        ("known", ["generate-data", *SCENE, "--count", N_KNOWN, "--seed", 2]),
+    ]
+    for big_t, p in SCHEDULES:
+        ck = f"train_T{big_t}_p{p:g}"
+        out.append((ck, ["train", "--data", "{out:data}/dataset.gcds", *MODEL, "--T", big_t, "--p-power", p]))
+        for stride in (100, 10):
+            base = ["sample", "--ckpt", f"{{out:{ck}}}/model.gcdp", "--count", N_SAMPLES,
+                    "--stride", stride, "--seed", 4]
+            out.append((f"{ck}_sample_s{stride}", [*base, "--cond", -1]))
+            out.append((f"{ck}_sample_s{stride}_w2", [*base, "--cond", 1, "--guidance-w", 2]))
+        base = ["outpaint", "--ckpt", f"{{out:{ck}}}/model.gcdp", "--known", "{out:known}/dataset.gcds",
+                "--seed", 5]
+        out.append((f"{ck}_outpaint_layout", [*base, "--mask-mode", "layout", "--resample-n", 1]))
+        out.append((f"{ck}_outpaint_image", [*base, "--mask-mode", "image", "--resample-n", 5]))
+    return out
+
+
+def run_call(src: Path, work: Path, name: str, argv: list) -> float:
+    """Run `gcdp <argv> --out work/name` importing gcdp from src; seconds."""
+    args = []
+    for a in argv:
+        a = str(a)
+        if a.startswith("{out:"):
+            ref, _, rest = a[len("{out:"):].partition("}")
+            a = str(work / ref) + rest
+        args.append(a)
+    env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcdp.cli", *args, "--out", str(work / name)],
+        env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: gcdp {' '.join(args)} exited with {proc.returncode}:\n{proc.stderr}")
+    return time.perf_counter() - t0
+
+
+def compare(parent_src: Path, change_src: Path, work: Path) -> bool:
+    plan = calls()
+    sides = {"parent": parent_src, "change": change_src}
+    digests = {side: {} for side in sides}
+    walls = {side: {} for side in sides}
+    for side, src in sides.items():
+        for name, argv in plan:
+            walls[side][name] = run_call(src, work / side, name, argv)
+            digests[side][name] = tree_digest(work / side / name)
+    print(f"{'output':32} {'parent':12} {'change':12} {'s parent':>9} {'s change':>9}  equal")
+    same = 0
+    for name, _ in plan:
+        d_p, d_c = digests["parent"][name], digests["change"][name]
+        same += d_p == d_c
+        print(f"{name:32} {d_p[:12]} {d_c[:12]} {walls['parent'][name]:9.2f} {walls['change'][name]:9.2f}  "
+              f"{'yes' if d_p == d_c else 'NO'}")
+    print(f"{same} of {len(plan)} output trees equal")
+    return same == len(plan)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", type=Path, help="src directory of the reference tree")
+    ap.add_argument("change_src", type=Path, help="src directory of the changed tree")
+    ap.add_argument("--work", type=Path, default=None, help="keep the outputs in this directory")
+    args = ap.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "gcdp" / "cli.py").is_file():
+            ap.error(f"{src} holds no gcdp package")
+    srcs = (args.parent_src.resolve(), args.change_src.resolve())
+    if args.work is not None:
+        return 0 if compare(*srcs, args.work.resolve()) else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        return 0 if compare(*srcs, Path(tmp)) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
