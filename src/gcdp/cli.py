@@ -110,14 +110,6 @@ def _parse_value(key: Key, raw: str):
         raise UsageError(f"key '{key.name}' expects {key.type.__name__}, got {raw!r}") from None
 
 
-def _fmt_value(key: Key, value) -> str:
-    if key.type is bool:
-        return "true" if value else "false"
-    if key.type is float:
-        return repr(float(value))
-    return str(value)
-
-
 def parse_config_text(text: str, command: str) -> dict:
     schema = {k.name: k for k in SCHEMAS[command]}
     out = {}
@@ -136,7 +128,7 @@ def parse_config_text(text: str, command: str) -> dict:
 
 
 def canonical_config_text(cfg: dict, command: str) -> str:
-    return "".join(f"{k.name}={_fmt_value(k, cfg[k.name])}\n" for k in SCHEMAS[command])
+    return "".join(f"{k.name}={gio.format_value(cfg[k.name])}\n" for k in SCHEMAS[command])
 
 
 def merged_config(command: str, args: argparse.Namespace) -> dict:
@@ -296,13 +288,18 @@ def cmd_outpaint(cfg: dict) -> int:
 
 
 def _load_sample_dir(samples_dir: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(images, layouts, conds) of the manifest's rows; every PGM must have
+    the size of the first."""
     rows = gio.read_manifest(samples_dir / "manifest.txt")
-    images, layouts, conds = [], [], []
-    for _, img_name, lay_name, cond in rows:
-        images.append(gio.u8_to_image(gio.read_pgm(samples_dir / img_name)).reshape(-1))
-        layouts.append(gio.read_pgm(samples_dir / lay_name).astype(np.int64).reshape(-1))
-        conds.append(cond)
-    return np.stack(images), np.stack(layouts), np.array(conds, dtype=np.int64)
+    paths = [samples_dir / name for _, img_name, lay_name, _ in rows for name in (img_name, lay_name)]
+    pgms = [gio.read_pgm(path) for path in paths]
+    h, w = pgms[0].shape
+    for path, pgm in zip(paths, pgms):
+        if pgm.shape != (h, w):
+            raise ValidationError(f"{path}: {pgm.shape[1]}x{pgm.shape[0]} PGM, expected {w}x{h} as in {paths[0].name}")
+    pixels = np.stack(pgms).reshape(len(rows), 2, h * w)
+    conds = np.array([cond for *_, cond in rows], dtype=np.int64)
+    return gio.u8_to_image(pixels[:, 0]), pixels[:, 1].astype(np.int64), conds
 
 
 def evaluate_samples(

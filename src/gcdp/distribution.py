@@ -8,7 +8,9 @@ independent categorical C(theta_i) over the M label positions,
 
 Labels are 1-based: y_i in {1..K}. Only this factorized parameterization
 is supported; the general mixture with a separate Gaussian per label state
-appears solely inside small-instance test oracles.
+appears solely inside small-instance test oracles. A state is drawn from
+such a law by process.draw, which fixes the order in which the generator
+is consumed.
 
 This module also holds the class-axis kernels: row_sum, row_max, softmax
 and the inverse-CDF draw sample_rows. Every reduction over the trailing
@@ -186,17 +188,6 @@ def sample_rows(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
         cum += theta[..., k]
         idx += u > cum
     return idx
-
-
-def sample(params: FactorizedGCParams, rng: np.random.Generator) -> JointSample:
-    """Draw one joint sample; deterministic for a fixed generator state.
-
-    Consumes the generator in a fixed order: N Gaussian variates, then M
-    uniforms for the labels.
-    """
-    x = params.mu + np.sqrt(params.var) * rng.standard_normal(params.n_gauss)
-    y = sample_rows(params.theta, rng.random(params.n_cat))
-    return JointSample(x=x, y=y)
 
 
 def kl_divergence(p: FactorizedGCParams, q: FactorizedGCParams) -> float:

@@ -445,6 +445,8 @@ def write_manifest(path, rows: list[tuple[int, str, str, int]]):
 
 
 def read_manifest(path) -> list[tuple[int, str, str, int]]:
+    """Rows (index, image file, layout file, condition); at least one, with
+    integer index and condition fields."""
     rows = []
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -452,11 +454,17 @@ def read_manifest(path) -> list[tuple[int, str, str, int]]:
         parts = line.split()
         if len(parts) != 4:
             raise FormatError(f"{path}: manifest line {ln} needs 4 fields", field=f"line {ln}")
-        rows.append((int(parts[0]), parts[1], parts[2], int(parts[3])))
+        try:
+            rows.append((int(parts[0]), parts[1], parts[2], int(parts[3])))
+        except ValueError:
+            raise FormatError(f"{path}: manifest line {ln} needs an integer index and condition", field=f"line {ln}") from None
+    if not rows:
+        raise FormatError(f"{path}: manifest lists no samples")
     return rows
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """Canonical text of a config, report or trace value."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -466,15 +474,15 @@ def _fmt(v) -> str:
 
 def report_to_text(rep: EvalReport) -> str:
     lines = [
-        f"semantic_recall={_fmt(rep.semantic_recall)}",
-        f"semantic_precision={_fmt(rep.semantic_precision)}",
-        f"semantic_f={_fmt(rep.semantic_f)}",
-        f"fsd={_fmt(rep.fsd)}",
-        f"miou={_fmt(rep.miou)}",
-        f"tv_distance={_fmt(rep.tv_distance)}",
-        f"semantic_recall_layout={_fmt(rep.semantic_recall_layout)}",
+        f"semantic_recall={format_value(rep.semantic_recall)}",
+        f"semantic_precision={format_value(rep.semantic_precision)}",
+        f"semantic_f={format_value(rep.semantic_f)}",
+        f"fsd={format_value(rep.fsd)}",
+        f"miou={format_value(rep.miou)}",
+        f"tv_distance={format_value(rep.tv_distance)}",
+        f"semantic_recall_layout={format_value(rep.semantic_recall_layout)}",
     ]
-    lines += [f"per_class_recall_{k}={_fmt(v)}" for k, v in sorted(rep.per_class_recall.items())]
+    lines += [f"per_class_recall_{k}={format_value(v)}" for k, v in sorted(rep.per_class_recall.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -502,4 +510,4 @@ def report_from_text(text: str) -> EvalReport:
 
 
 def save_trace(path, trace: list[tuple[int, float]]):
-    Path(path).write_text("".join(f"{s} {_fmt(float(v))}\n" for s, v in trace), encoding="utf-8")
+    Path(path).write_text("".join(f"{s} {format_value(float(v))}\n" for s, v in trace), encoding="utf-8")

@@ -10,6 +10,9 @@ import numpy as np
 from .errors import ValidationError
 from .scenes import SceneConfig, analytic_statistic_distribution, scene_statistic
 
+# Fewest layouts joint_tv estimates the law from.
+TV_MIN_SAMPLES = 1000
+
 
 def detected_classes(layout: np.ndarray) -> set[int]:
     return {int(c) for c in np.unique(np.asarray(layout))}
@@ -124,15 +127,15 @@ def miou(a: np.ndarray, b: np.ndarray, n_classes: int) -> float:
     return float(np.mean(ious)) if ious else 1.0
 
 
-def joint_tv(gen_layouts: np.ndarray, cfg: SceneConfig, min_samples: int = 1000) -> float:
+def joint_tv(gen_layouts: np.ndarray, cfg: SceneConfig) -> float:
     """Total variation between the empirical law of the layout summary
     statistic and the grammar's exact law."""
     gen_layouts = np.asarray(gen_layouts, dtype=np.int64)
     if gen_layouts.ndim != 2:
         raise ValidationError("gen_layouts must be an (n, M) array")
     n = gen_layouts.shape[0]
-    if n < min_samples:
-        raise ValidationError(f"need at least {min_samples} samples, got {n}")
+    if n < TV_MIN_SAMPLES:
+        raise ValidationError(f"need at least {TV_MIN_SAMPLES} samples, got {n}")
     emp: dict[tuple, float] = {}
     w = 1.0 / n
     for row in gen_layouts:

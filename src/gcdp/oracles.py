@@ -12,6 +12,8 @@ from scipy import integrate
 
 from .distribution import FactorizedGCParams, log_pdf
 
+FD_STEP = 1e-5  # central-difference step of finite_diff_grads
+REL_ERROR_FLOOR = 1e-4  # denominator floor of max_rel_error
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -104,7 +106,7 @@ def quad_joint_kl(p: FactorizedGCParams, q: FactorizedGCParams) -> float:
     return total
 
 
-def finite_diff_grads(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def finite_diff_grads(loss_fn, params: np.ndarray) -> np.ndarray:
     """Central finite differences of loss_fn() w.r.t. every entry of a flat
     parameter array.
 
@@ -113,20 +115,20 @@ def finite_diff_grads(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarra
     grads = np.zeros_like(params)
     for i in range(params.shape[0]):
         orig = params[i]
-        params[i] = orig + h
+        params[i] = orig + FD_STEP
         up = loss_fn()
-        params[i] = orig - h
+        params[i] = orig - FD_STEP
         down = loss_fn()
         params[i] = orig
-        grads[i] = (up - down) / (2.0 * h)
+        grads[i] = (up - down) / (2.0 * FD_STEP)
     return grads
 
 
-def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
+def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
     """Worst per-coordinate relative error between two gradient arrays.
 
     The floor keeps near-zero coordinates from amplifying finite-difference
     round-off into spurious relative errors.
     """
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERROR_FLOOR)
     return float(np.max(np.abs(a - b) / denom))

@@ -25,11 +25,14 @@ t = 1 and with brute-force Bayes enumeration; the posterior module is
 oracle-checked against both, on random schedules and on every step of
 cosine_schedule(1000, p) for p in {1, 3}.
 
-The training loss draws z_t from q_marginal_arrays and takes its bound
-terms from gauss_posterior_coeffs and cat_posterior_theta, with per-item
-timestep arrays; the sampler calls posterior_arrays, q_marginal_arrays and
-q_step_arrays. Timesteps are looked up through NoiseSchedule.abar_gauss
-and abar_cat, never by indexing the schedule arrays.
+Every state is drawn from its law by draw: the forward step, the
+training loss's z_t from q_marginal_arrays, and the sampler's initial
+state, posterior steps and known-region marginals. The loss takes its
+bound terms from gauss_posterior_coeffs and cat_posterior_theta, with
+per-item timestep arrays; the sampler calls posterior_arrays,
+q_marginal_arrays and q_step_arrays. Timesteps are looked up through
+NoiseSchedule.abar_gauss and abar_cat, never by indexing the schedule
+arrays.
 
 All functions accept leading batch axes on the array arguments; the
 JointSample wrappers are the single-sample surface.
@@ -67,6 +70,22 @@ def uniform_mix(theta: np.ndarray, keep: float | np.ndarray, n_classes: int) -> 
     return keep * theta + (1.0 - keep) / n_classes
 
 
+def draw(
+    mu: np.ndarray, var: float | np.ndarray, theta: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One draw (x, y) of the factorized law N(mu, var) x C(theta).
+
+    mu is (..., N) and var a float or an array that broadcasts against it,
+    such as (B, 1) per item; theta is (..., M, K). The generator gives the
+    image noise of mu.shape first, then the label uniforms of
+    theta.shape[:-1]; y holds 1-based labels. This is the one function that
+    turns a law into a state, so this order is the one every seeded run
+    depends on.
+    """
+    x = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+    return x, sample_rows(theta, rng.random(theta.shape[:-1]))
+
+
 def q_step_arrays(
     x_prev: np.ndarray,
     y_prev: np.ndarray,
@@ -75,12 +94,11 @@ def q_step_arrays(
     rng: np.random.Generator,
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one forward step to batched arrays; draws x noise then y uniforms."""
+    """Apply one forward step to batched arrays, by one draw."""
     t = sched._check_t(t)
     bn = float(sched.beta_gauss[t - 1])
-    x_t = np.sqrt(1.0 - bn) * x_prev + np.sqrt(bn) * rng.standard_normal(x_prev.shape)
     theta = uniform_mix(one_hot(y_prev, n_classes), float(sched.alpha_cat[t - 1]), n_classes)
-    return x_t, sample_rows(theta, rng.random(y_prev.shape))
+    return draw(np.sqrt(1.0 - bn) * x_prev, bn, theta, rng)
 
 
 def q_marginal_arrays(

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import ReferenceDenoiser
-from .distribution import JointSample, sample_rows, softmax
+from .distribution import JointSample, softmax
+from .distribution import sample_rows  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .errors import NumericalError, ValidationError
-from .process import posterior_arrays, q_marginal_arrays, q_step_arrays
+from .process import draw, posterior_arrays, q_marginal_arrays, q_step_arrays
 from .schedules import NoiseSchedule
 
 
@@ -114,13 +115,6 @@ def default_stride(total_steps: int, n_steps: int) -> list[int]:
     return [int(v) for v in pts]
 
 
-def _draw(mu: np.ndarray, var: float, theta: np.ndarray, rng: np.random.Generator):
-    """One draw of the factorized law N(mu, var) x C(theta): image noise,
-    then label uniforms."""
-    x = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    return x, sample_rows(theta, rng.random(theta.shape[:-1]))
-
-
 def _reverse_chain(
     model: ReferenceDenoiser,
     sched: NoiseSchedule,
@@ -144,9 +138,8 @@ def _reverse_chain(
     shape = model.config.shape
     n_cls = shape.n_classes
     batch = conds.shape[0]
-    x = rng.standard_normal((batch, shape.n_gauss))
     uniform = np.full((batch, shape.n_cat, n_cls), 1.0 / n_cls)
-    y = sample_rows(uniform, rng.random((batch, shape.n_cat)))
+    x, y = draw(np.zeros((batch, shape.n_gauss)), 1.0, uniform, rng)
     desc = steps[::-1]
     for t, s in zip(desc, desc[1:] + [0]):
         inner = resample_n if known is not None and s > 0 else 1
@@ -154,10 +147,10 @@ def _reverse_chain(
             if known is not None:
                 xk, yk, mask = known
                 if s > 0:
-                    xk, yk = _draw(*q_marginal_arrays(xk, yk, s, sched, n_cls), rng)
+                    xk, yk = draw(*q_marginal_arrays(xk, yk, s, sched, n_cls), rng)
             x0_hat, theta0 = _predict(model, x, y, t, conds, guidance)
             if s > 0:
-                x_next, y_next = _draw(*posterior_arrays(x0_hat, theta0, x, y, t, s, sched, n_cls), rng)
+                x_next, y_next = draw(*posterior_arrays(x0_hat, theta0, x, y, t, s, sched, n_cls), rng)
             else:
                 x_next, y_next = x0_hat, np.argmax(theta0, axis=-1) + 1
             if known is not None:
@@ -182,9 +175,9 @@ def sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate a batch of joint samples along the given timestep subset.
 
-    conds holds one condition ID per sample, -1 for unconditional. The
-    generator is consumed in a fixed order: init image noise, init label
-    uniforms, then per transition image noise and label uniforms.
+    conds holds one condition ID per sample, -1 for unconditional. Every
+    state is one process.draw: the N(0, I) x Uniform start, then one per
+    transition.
     """
     steps = _validate_steps(steps, sched.total_steps)
     return _reverse_chain(model, sched, np.asarray(conds, dtype=np.int64), guidance, steps, rng)

@@ -32,9 +32,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .denoiser import ReferenceDenoiser
-from .distribution import JointSample, row_sum, sample_rows, softmax
+from .distribution import FactorizedGCParams, JointSample, kl_divergence, row_sum, softmax
+from .distribution import sample_rows  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .errors import NumericalError, ValidationError
-from .process import cat_posterior_theta, gauss_posterior_coeffs, one_hot, q_marginal_arrays, uniform_mix
+from .process import cat_posterior_theta, draw, gauss_posterior_coeffs, one_hot, q_marginal_arrays, uniform_mix
 from .schedules import NoiseSchedule
 
 N_BINS = 256
@@ -132,14 +133,6 @@ def bound_terms(
     return loss_g, loss_c, dx0_hat, dlogits
 
 
-def _noise(mu: np.ndarray, var: np.ndarray, theta: np.ndarray, rng: np.random.Generator):
-    """One draw of z_t from the marginal (mu, var, theta) that
-    process.q_marginal_arrays gives; draws image noise, then label uniforms."""
-    x_t = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    y_t = sample_rows(theta, rng.random(theta.shape[:-1]))
-    return x_t, y_t
-
-
 def vlb_loss(
     x0: np.ndarray,
     y0: np.ndarray,
@@ -155,9 +148,9 @@ def vlb_loss(
     """Mean per-item loss over a batch, with exact parameter gradients
     laid out like `model.flat`.
 
-    Consumes the generator in a fixed order (timesteps, image noise, label
-    uniforms, dropout mask), so the loss is a deterministic smooth function
-    of the parameters once the generator seed is fixed.
+    Consumes the generator in a fixed order (timesteps, the process.draw of
+    z_t, dropout mask), so the loss is a deterministic smooth function of
+    the parameters once the generator seed is fixed.
     """
     if mode not in ("vlb", "simple"):
         raise ValidationError(f"unknown loss mode {mode!r}")
@@ -169,7 +162,7 @@ def vlb_loss(
     shape = model.config.shape
 
     t = rng.integers(1, sched.total_steps + 1, size=batch)
-    x_t, y_t = _noise(*q_marginal_arrays(x0, y0, t, sched, shape.n_classes), rng)
+    x_t, y_t = draw(*q_marginal_arrays(x0, y0, t, sched, shape.n_classes), rng)
     dropped = rng.random(batch) < cond_dropout
     cond_in = np.where(dropped, -1, np.asarray(cond, dtype=np.int64))
 
@@ -195,16 +188,18 @@ def vlb_loss(
     return loss, grads, LossBreakdown(float(loss_g.mean()), float(lambda_cat * loss_c.mean()))
 
 
-def _prior_kl(mu: np.ndarray, var: float | np.ndarray, theta: np.ndarray, n_classes: int) -> float:
-    """KL of the factorized law (mu, var, theta) from N(0, I) x Uniform."""
-    gauss = 0.5 * (var + mu**2 - 1.0 - np.log(var)).sum()
-    cat = (theta * np.log(theta * n_classes)).sum()
-    return float(gauss + cat)
+def _prior_kl(mu: np.ndarray, var: float | np.ndarray, theta: np.ndarray) -> float:
+    """kl_divergence of one item's factorized law (mu (N,), var, theta
+    (M, K)) from N(0, I) x Uniform."""
+    law = FactorizedGCParams(mu=mu, var=np.broadcast_to(var, mu.shape), theta=theta)
+    uniform = np.full_like(theta, 1.0 / theta.shape[-1])
+    prior = FactorizedGCParams(mu=np.zeros_like(mu), var=np.ones_like(mu), theta=uniform)
+    return kl_divergence(law, prior)
 
 
 def prior_term(z0: JointSample, sched: NoiseSchedule, n_classes: int) -> float:
     """KL(q(z_T | z_0) || N(0, I) x Uniform); involves no parameters."""
-    return _prior_kl(*q_marginal_arrays(z0.x, z0.y, sched.total_steps, sched, n_classes), n_classes)
+    return _prior_kl(*q_marginal_arrays(z0.x, z0.y, sched.total_steps, sched, n_classes))
 
 
 def vlb_terms(
@@ -220,9 +215,8 @@ def vlb_terms(
 
     The full bound is the sum of the returned array; the final entry is
     the parameter-free prior term, prior_term's value taken from the t = T
-    row of the marginal the draw uses. One forward pass covers all T steps,
-    and the generator gives the image noise of every step, then the label
-    uniforms of every step.
+    row of the marginal the draw uses. One process.draw and one forward
+    pass cover all T steps.
     """
     big_t = sched.total_steps
     n_cls = model.config.shape.n_classes
@@ -230,10 +224,10 @@ def vlb_terms(
     x0 = np.broadcast_to(z0.x, (big_t, z0.x.shape[0]))
     y0 = np.broadcast_to(z0.y, (big_t, z0.y.shape[0]))
     mu, var, theta = q_marginal_arrays(x0, y0, t, sched, n_cls)
-    x_t, y_t = _noise(mu, var, theta, rng)
+    x_t, y_t = draw(mu, var, theta, rng)
     x0_hat, logits, _ = model.forward_batch(x_t, y_t, t, np.full(big_t, cond))
     loss_g, loss_c, _, _ = bound_terms(x0, y0, y_t, t, x0_hat, softmax(logits), sched)
-    return np.append(loss_g + lambda_cat * loss_c, _prior_kl(mu[-1], var[-1], theta[-1], n_cls))
+    return np.append(loss_g + lambda_cat * loss_c, _prior_kl(mu[-1], var[-1], theta[-1]))
 
 
 @dataclass
@@ -271,36 +265,31 @@ class AdamState:
 
 # Entries per block of adam_update: the block's temporaries stay in cache.
 ADAM_BLOCK = 1 << 16
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_update(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
     """One Adam step over flat arrays, in place and in the parameters' dtype:
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)."""
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)."""
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     tmp = np.empty(min(ADAM_BLOCK, params.size), dtype=params.dtype)
     for lo in range(0, params.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, params.size)
         g, m, v, t = grads[lo:hi], state.m[lo:hi], state.v[lo:hi], tmp[: hi - lo]
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=t)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=t)
         m += t
-        v *= beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=t)
-        t *= 1.0 - beta2
+        t *= 1.0 - ADAM_BETA2
         v += t
         np.multiply(v, 1.0 / bc2, out=t)
         np.sqrt(t, out=t)
-        t += eps
+        t += ADAM_EPS
         np.divide(m, t, out=t)
         t *= lr / bc1
         params[lo:hi] -= t

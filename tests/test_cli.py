@@ -236,6 +236,35 @@ class TestExitCodes:
         assert run("sample", "--ckpt", str(bad), "--out", str(tmp_path / "s")) == 2
         assert run("sample", "--ckpt", str(tmp_path / "missing.gcdp"), "--out", str(tmp_path / "s2")) == 2
 
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("index", "manifest line 2"),
+            ("cond", "manifest line 3"),
+            ("empty", "manifest lists no samples"),
+            ("size", "sample_0002_layout.pgm: 4x2 PGM, expected 8x8"),
+        ],
+    )
+    def test_malformed_samples_dir(self, pipeline, tmp_path, capsys, case, named):
+        out = tmp_path / "samples"
+        out.mkdir()
+        n = 4
+        _write_samples(out, np.zeros((n, 64)), np.ones((n, 64), dtype=np.int64), np.zeros(n, dtype=np.int64), 8, 8)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        if case == "index":
+            lines[1] = lines[1].replace("1 ", "one ", 1)
+        elif case == "cond":
+            lines[2] = lines[2][:-1] + "0.5"
+        elif case == "empty":
+            lines = [""]
+        else:
+            gio.write_pgm(out / "sample_0002_layout.pgm", np.ones((2, 4), dtype=np.uint8))
+        (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("evaluate", "--samples", str(out), "--data", str(pipeline / "data" / "dataset.gcds"),
+                   "--out", str(tmp_path / "eval")) == 2
+        assert named in capsys.readouterr().err
+
     def test_verify_fast_passes(self, tmp_path, capsys):
         assert run("verify", "--fast", "--out", str(tmp_path / "v")) == 0
         assert (tmp_path / "v" / "verify_report.txt").read_text().count("PASS") >= 10

@@ -8,11 +8,10 @@ from gcdp.distribution import (
     entropy,
     kl_divergence,
     log_pdf,
-    sample,
 )
 from gcdp.errors import ValidationError
 from gcdp.oracles import quad_joint_kl, quad_normalization
-from gcdp.process import one_hot
+from gcdp.process import draw, one_hot
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -96,6 +95,11 @@ class TestLogPdf:
             assert quad_normalization(p) == pytest.approx(1.0, abs=1e-6)
 
 
+def sample(p, rng):
+    """One joint sample of p by process.draw, the draw every engine path runs."""
+    return JointSample(*draw(p.mu, p.var, p.theta, rng))
+
+
 class TestSample:
     def test_degenerate_variance_returns_mean(self):
         p = FactorizedGCParams(mu=np.array([0.3, -0.7]), var=np.zeros(2), theta=np.array([[1.0, 0.0]]))
@@ -109,11 +113,9 @@ class TestSample:
 
     def test_uniform_frequencies_within_3_sigma(self):
         n = 30_000
-        p = FactorizedGCParams(mu=np.zeros(1), var=np.ones(1), theta=np.full((1, 3), 1 / 3))
         rng = np.random.default_rng(2)
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[sample(p, rng).y[0] - 1] += 1
+        _, y = draw(np.zeros((n, 1)), 1.0, np.full((n, 1, 3), 1 / 3), rng)
+        counts = np.bincount(y[:, 0] - 1, minlength=3)
         bound = 3 * np.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) < bound)
 

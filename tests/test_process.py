@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gcdp.distribution import JointSample
+from gcdp import process, verify
+from gcdp.distribution import JointSample, sample_rows
 from gcdp.errors import ValidationError
 from gcdp.oracles import (
     brute_cat_posterior,
@@ -11,6 +12,7 @@ from gcdp.oracles import (
 )
 from gcdp.process import (
     cat_posterior_theta,
+    draw,
     gauss_posterior_coeffs,
     one_hot,
     posterior_arrays,
@@ -24,6 +26,52 @@ from gcdp.process import (
 from gcdp.schedules import NoiseSchedule, cosine_schedule
 
 from conftest import random_schedule
+
+
+class TestDraw:
+    def test_image_noise_then_label_uniforms(self):
+        rng = np.random.default_rng(3)
+        mu = rng.standard_normal((4, 5))
+        theta = rng.dirichlet(np.ones(3), size=(4, 2))
+        gen = np.random.default_rng(21)
+        x, y = draw(mu, 0.3, theta, gen)
+        ref = np.random.default_rng(21)
+        noise = ref.standard_normal((4, 5))
+        u = ref.random((4, 2))
+        assert np.array_equal(x, mu + np.sqrt(0.3) * noise)
+        assert np.array_equal(y, sample_rows(theta, u))
+        # the draw consumed exactly those variates
+        assert gen.random() == ref.random()
+
+    def test_shapes(self):
+        rng = np.random.default_rng(4)
+        for lead in ((), (6,), (2, 3)):
+            x, y = draw(np.zeros(lead + (5,)), 1.0, np.full(lead + (7, 4), 0.25), rng)
+            assert x.shape == lead + (5,) and y.shape == lead + (7,)
+            assert y.dtype == np.int64 and np.all((y >= 1) & (y <= 4))
+
+    def test_float_and_per_item_variance(self):
+        mu = np.random.default_rng(5).standard_normal((3, 4))
+        theta = np.full((3, 2, 3), 1 / 3)
+        x_float, y_float = draw(mu, 0.5, theta, np.random.default_rng(6))
+        x_items, y_items = draw(mu, np.full((3, 1), 0.5), theta, np.random.default_rng(6))
+        assert np.array_equal(x_float, x_items) and np.array_equal(y_float, y_items)
+        var = np.array([[0.1], [1.0], [4.0]])
+        x, _ = draw(mu, var, theta, np.random.default_rng(6))
+        noise = np.random.default_rng(6).standard_normal((3, 4))
+        for i in range(3):
+            assert np.array_equal(x[i], mu[i] + np.sqrt(var[i, 0]) * noise[i])
+
+    def test_sampling_entropy_oracle_runs_this_draw(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(process, "draw", counting)
+        result = verify.check_sampling_entropy(seed=0, n_samples=300)
+        assert len(calls) == 300 and result.ok
 
 
 class TestQStep:

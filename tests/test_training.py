@@ -178,8 +178,8 @@ class TestVlbLoss:
         model, sched, (x, y, c) = toy_problem()
         _, _, parts1 = vlb_loss(x, y, c, model, sched, np.random.default_rng(5), lambda_cat=1.0)
         _, _, parts2 = vlb_loss(x, y, c, model, sched, np.random.default_rng(5), lambda_cat=2.0)
-        assert parts2.cat == pytest.approx(2.0 * parts1.cat, rel=1e-12)
-        assert parts2.gauss == pytest.approx(parts1.gauss, rel=1e-12)
+        assert parts2.cat == pytest.approx(2.0 * parts1.cat, rel=1e-12, abs=0)
+        assert parts2.gauss == pytest.approx(parts1.gauss, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +206,7 @@ def test_bound_terms_are_posterior_kls(sched):
         z_t = JointSample(x=x_t[i], y=y_t[i])
         clean = posterior_params(x0[i], one_hot(y0[i], k), z_t, t[i], sched)
         pred = posterior_params(x0_hat[i], theta0_hat[i], z_t, t[i], sched)
-        assert gauss[i] + cat[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10)
+        assert gauss[i] + cat[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10, abs=0)
         pred = posterior_params(near[i], one_hot(y0[i], k), z_t, t[i], sched)
         assert gauss_near[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10, abs=0)
 

@@ -11,6 +11,7 @@ thread, and compares every output directory by `perfbench.checks.tree_digest`
   train          40 steps at T in {100, 1000} x p in {1, 3}
   sample         on each checkpoint, stride 100 and 10, unguided and at w=2
   outpaint       on each checkpoint, layout (n=1) and image (n=5)
+  evaluate       on each sample and outpaint tree, against the training set
 
 Prints one row per call with both digests and wall times, and exits 0 when
 every digest is equal, 1 otherwise. Outputs go to DIR/{parent,change}/ (a
@@ -57,6 +58,9 @@ def calls() -> list[tuple[str, list]]:
                 "--seed", 5]
         out.append((f"{ck}_outpaint_layout", [*base, "--mask-mode", "layout", "--resample-n", 1]))
         out.append((f"{ck}_outpaint_image", [*base, "--mask-mode", "image", "--resample-n", 5]))
+    samples = [name for name, argv in out if argv[0] in ("sample", "outpaint")]
+    out += [(f"{name}_eval", ["evaluate", "--samples", f"{{out:{name}}}", "--data", "{out:data}/dataset.gcds"])
+            for name in samples]
     return out
 
 
@@ -89,12 +93,12 @@ def compare(parent_src: Path, change_src: Path, work: Path) -> bool:
         for name, argv in plan:
             walls[side][name] = run_call(src, work / side, name, argv)
             digests[side][name] = tree_digest(work / side / name)
-    print(f"{'output':32} {'parent':12} {'change':12} {'s parent':>9} {'s change':>9}  equal")
+    print(f"{'output':36} {'parent':12} {'change':12} {'s parent':>9} {'s change':>9}  equal")
     same = 0
     for name, _ in plan:
         d_p, d_c = digests["parent"][name], digests["change"][name]
         same += d_p == d_c
-        print(f"{name:32} {d_p[:12]} {d_c[:12]} {walls['parent'][name]:9.2f} {walls['change'][name]:9.2f}  "
+        print(f"{name:36} {d_p[:12]} {d_c[:12]} {walls['parent'][name]:9.2f} {walls['change'][name]:9.2f}  "
               f"{'yes' if d_p == d_c else 'NO'}")
     print(f"{same} of {len(plan)} output trees equal")
     return same == len(plan)
