@@ -27,7 +27,6 @@ from .sampler import GuidanceConfig, default_stride, outpaint_batch, sample_batc
 from .scenes import SceneConfig, generate, oracle_segment
 from .schedules import cosine_schedule
 from .training import TrainConfig, train
-from .verify import run_all
 
 
 @dataclass(frozen=True)
@@ -287,13 +286,18 @@ def cmd_outpaint(cfg: dict) -> int:
     return 0
 
 
-def _load_sample_dir(samples_dir: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_sample_dir(
+    samples_dir: Path, size: tuple[int, int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(images, layouts, conds) of the manifest's rows; every PGM must have
-    the size of the first."""
+    the size of the first, and that size must be (height, width) = size
+    when one is given."""
     rows = gio.read_manifest(samples_dir / "manifest.txt")
     paths = [samples_dir / name for _, img_name, lay_name, _ in rows for name in (img_name, lay_name)]
     pgms = [gio.read_pgm(path) for path in paths]
     h, w = pgms[0].shape
+    if size is not None and (h, w) != size:
+        raise ValidationError(f"{paths[0]}: {w}x{h} PGM, but the dataset's scenes are {size[1]}x{size[0]}")
     for path, pgm in zip(paths, pgms):
         if pgm.shape != (h, w):
             raise ValidationError(f"{path}: {pgm.shape[1]}x{pgm.shape[0]} PGM, expected {w}x{h} as in {paths[0].name}")
@@ -337,7 +341,7 @@ def evaluate_samples(
 
 def cmd_evaluate(cfg: dict) -> int:
     scene, (_, ref_layouts, _) = gio.load_dataset_arrays(_require(cfg, "data"))
-    images, layouts, conds = _load_sample_dir(Path(_require(cfg, "samples")))
+    images, layouts, conds = _load_sample_dir(Path(_require(cfg, "samples")), (scene.height, scene.width))
     report = evaluate_samples(images, layouts, conds, scene, ref_layouts)
     out = _out_dir(cfg, "evaluate")
     text = gio.report_to_text(report)
@@ -347,6 +351,9 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    # The oracle stack pulls in scipy.integrate; no other command needs it.
+    from .verify import run_all
+
     results = run_all(seed=cfg["seed"], fast=cfg["fast"])
     lines = [r.line() for r in results]
     print("\n".join(lines))

@@ -202,9 +202,9 @@ class ReferenceDenoiser:
         time_hi = lab_hi + cfg.time_emb_dim
         h0 = np.empty((batch, cfg.input_dim), dtype=dtype)
         h0[:, : s.n_gauss] = x_t
-        h0[:, s.n_gauss : lab_hi] = p["label_emb"][y_t - 1].reshape(batch, -1)
+        h0[:, s.n_gauss : lab_hi] = np.take(p["label_emb"], y_t - 1, axis=0).reshape(batch, -1)
         h0[:, lab_hi:time_hi] = time_embedding(t, cfg.time_emb_dim)
-        h0[:, time_hi:] = p["cond_emb"][c_idx]
+        h0[:, time_hi:] = np.take(p["cond_emb"], c_idx, axis=0)
         h = h0 @ p["in_w"]
         h += p["in_b"]
         blocks = []

@@ -13,8 +13,11 @@ which composes into closed-form marginals from the clean sample,
 
 where uniform_mix(theta, keep) = keep * theta + (1 - keep) / K is the
 uniform categorical kernel, and a Bayes posterior over z_{t-1} given
-(z_t, z_0) that stays factorized. The categorical posterior is the
-normalized elementwise product
+(z_t, z_0) that stays factorized. Applied to a one-hot, the kernel is a
+row of the K x K table kernel_table(keep) (Austin et al., D3PM,
+arXiv 2107.03006), so every law over given labels gathers its rows from
+that table. The categorical posterior is the normalized elementwise
+product
 
     uniform_mix(onehot(y_t), alpha^C_t) * uniform_mix(theta_0, abar^C_{t-1})
 
@@ -25,14 +28,15 @@ t = 1 and with brute-force Bayes enumeration; the posterior module is
 oracle-checked against both, on random schedules and on every step of
 cosine_schedule(1000, p) for p in {1, 3}.
 
-Every state is drawn from its law by draw: the forward step, the
-training loss's z_t from q_marginal_arrays, and the sampler's initial
-state, posterior steps and known-region marginals. The loss takes its
-bound terms from gauss_posterior_coeffs and cat_posterior_theta, with
-per-item timestep arrays; the sampler calls posterior_arrays,
-q_marginal_arrays and q_step_arrays. Timesteps are looked up through
-NoiseSchedule.abar_gauss and abar_cat, never by indexing the schedule
-arrays.
+Every state is drawn from its law by draw, or by realize on the noise
+that noise draws: the forward step, the training loss's z_t from
+q_marginal_arrays, and the sampler's initial state, posterior steps,
+known-region marginals and re-noising. The loss takes its bound terms
+from gauss_posterior_coeffs and cat_posterior_theta, with per-item
+timestep arrays; the sampler calls posterior_arrays, or, once per
+visited step of outpainting, posterior_coeffs, q_marginal_arrays and
+forward_kernel. Timesteps are looked up through NoiseSchedule.abar_gauss
+and abar_cat, never by indexing the schedule arrays.
 
 All functions accept leading batch axes on the array arguments; the
 JointSample wrappers are the single-sample surface.
@@ -70,6 +74,55 @@ def uniform_mix(theta: np.ndarray, keep: float | np.ndarray, n_classes: int) -> 
     return keep * theta + (1.0 - keep) / n_classes
 
 
+def kernel_table(keep: float | np.ndarray, n_classes: int) -> np.ndarray:
+    """uniform_mix(eye(K), keep): row k is the kernel applied to the one-hot
+    of label k+1. (K, K) for a float keep, (B, K, K) for a (B, 1, 1) keep."""
+    return uniform_mix(np.eye(n_classes), keep, n_classes)
+
+
+def kernel_rows(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows of kernel_table(keep, K) for 1-based labels y: equal bit for
+    bit to uniform_mix(one_hot(y, K), keep, K), at a fraction of its cost.
+
+    A (K, K) table serves labels of any shape (..., M); a (B, K, K) table of
+    per-item keeps serves labels (B, ..., M). Labels outside 1..K raise, as
+    one_hot does: a plain take would read label 0 as row K.
+    """
+    y = np.asarray(y)
+    n_classes = table.shape[-1]
+    if y.size and (y.min() < 1 or y.max() > n_classes):
+        raise ValidationError("labels must lie in {1..K}")
+    if table.ndim == 2:
+        return np.take(table, y - 1, axis=0)
+    items = np.arange(table.shape[0]).reshape((-1,) + (1,) * (y.ndim - 1))
+    return np.take(table.reshape(-1, n_classes), (y - 1) + n_classes * items, axis=0)
+
+
+def noise(
+    x_shape: tuple[int, ...], y_shape: tuple[int, ...], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's part of one draw: image noise of x_shape first, then
+    label uniforms of y_shape. This is the one function that consumes the
+    generator for a state, so this order is the one every seeded run
+    depends on."""
+    return rng.standard_normal(x_shape), rng.random(y_shape)
+
+
+def realize(
+    mu: np.ndarray | None,
+    var: float | np.ndarray,
+    theta: np.ndarray | None,
+    eps: np.ndarray,
+    u: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The state (x, y) that the noise (eps, u) of noise gives under the law
+    N(mu, var) x C(theta). A modality whose law is None is not realized and
+    comes back None; its noise is still the caller's to draw."""
+    x = None if mu is None else mu + np.sqrt(var) * eps
+    y = None if theta is None else sample_rows(theta, u)
+    return x, y
+
+
 def draw(
     mu: np.ndarray, var: float | np.ndarray, theta: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,13 +130,10 @@ def draw(
 
     mu is (..., N) and var a float or an array that broadcasts against it,
     such as (B, 1) per item; theta is (..., M, K). The generator gives the
-    image noise of mu.shape first, then the label uniforms of
-    theta.shape[:-1]; y holds 1-based labels. This is the one function that
-    turns a law into a state, so this order is the one every seeded run
-    depends on.
+    noise of mu.shape and theta.shape[:-1], in the order noise fixes; y
+    holds 1-based labels.
     """
-    x = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    return x, sample_rows(theta, rng.random(theta.shape[:-1]))
+    return realize(mu, var, theta, *noise(mu.shape, theta.shape[:-1], rng))
 
 
 def q_step_arrays(
@@ -95,25 +145,32 @@ def q_step_arrays(
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one forward step to batched arrays, by one draw."""
+    keep, var, table = forward_kernel(t, sched, n_classes)
+    return draw(keep * x_prev, var, kernel_rows(table, y_prev), rng)
+
+
+def forward_kernel(t: int, sched: NoiseSchedule, n_classes: int) -> tuple[float, float, np.ndarray]:
+    """(keep, var, table) of the one-step kernel q(z_t | z_{t-1}): x_t is
+    N(keep * x_{t-1}, var), and y_t is C(row y_{t-1} of the K x K table)."""
     t = sched._check_t(t)
     bn = float(sched.beta_gauss[t - 1])
-    theta = uniform_mix(one_hot(y_prev, n_classes), float(sched.alpha_cat[t - 1]), n_classes)
-    return draw(np.sqrt(1.0 - bn) * x_prev, bn, theta, rng)
+    return np.sqrt(1.0 - bn), bn, kernel_table(float(sched.alpha_cat[t - 1]), n_classes)
 
 
 def q_marginal_arrays(
-    x0: np.ndarray, y0: np.ndarray, t: int | np.ndarray, sched: NoiseSchedule, n_classes: int
-) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+    x0: np.ndarray | None, y0: np.ndarray | None, t: int | np.ndarray, sched: NoiseSchedule, n_classes: int
+) -> tuple[np.ndarray | None, float | np.ndarray, np.ndarray | None]:
     """(mu, var, theta) of q(z_t | z_0) for batched arrays x0 (..., N) and
     y0 (..., M). t is an int, with a float var, or a (B,) array of per-item
-    steps for (B, N) and (B, M) inputs, with var of shape (B, 1)."""
+    steps for (B, N) and (B, M) inputs, with var of shape (B, 1). A None x0
+    or y0 leaves that modality's law unbuilt: mu or theta comes back None."""
     t = sched._check_t(t)
     abar_n, abar_c = sched.abar_gauss(t), sched.abar_cat(t)
     if not isinstance(t, int):
         abar_n, abar_c = abar_n[:, None], abar_c[:, None, None]
-    mu = np.sqrt(abar_n) * x0
+    mu = None if x0 is None else np.sqrt(abar_n) * x0
     var = np.maximum(1.0 - abar_n, DENOM_FLOOR)
-    theta = uniform_mix(one_hot(y0, n_classes), abar_c, n_classes)
+    theta = None if y0 is None else kernel_rows(kernel_table(abar_c, n_classes), y0)
     return mu, var, theta
 
 
@@ -151,7 +208,7 @@ def cat_posterior_theta(
     cosine_schedule(1000, p=3)), so the normalizer is floored only at the
     smallest normal float, which guards against 0/0 and nothing else.
     """
-    like = uniform_mix(one_hot(y_t, n_classes), alpha_eff, n_classes)
+    like = kernel_rows(kernel_table(alpha_eff, n_classes), y_t)
     prior = uniform_mix(theta0, abar_s, n_classes)
     unnorm = like * prior
     z = np.maximum(row_sum(unnorm), NORM_FLOOR)
@@ -170,14 +227,23 @@ def posterior_arrays(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(mu, var, theta) of the posterior over z_s given z_t and clean-state
     estimates, for any stride 1 <= s < t <= T."""
+    c0, ct, var, alpha_eff, abar_s = posterior_coeffs(t, s, sched)
+    mu = c0 * x0_hat + ct * x_t
+    theta = cat_posterior_theta(theta0_hat, y_t, alpha_eff, abar_s, n_classes)
+    return mu, var, theta
+
+
+def posterior_coeffs(t: int, s: int, sched: NoiseSchedule) -> tuple[float, float, float, float, float]:
+    """(c0, ct, var, alpha_eff, abar_s): the scalars of the posterior for the
+    transition t -> s, 1 <= s < t <= T. The first three are
+    gauss_posterior_coeffs; alpha_eff = abar^C_t / abar^C_s and abar^C_s are
+    the retentions of cat_posterior_theta's likelihood and prior factors."""
     t = sched._check_t(t)
     if not (1 <= s < t):
         raise ValidationError(f"stride target s={s} must satisfy 1 <= s < t={t}")
     c0, ct, var = gauss_posterior_coeffs(t, s, sched)
-    mu = c0 * x0_hat + ct * x_t
-    alpha_eff = sched.abar_cat(t) / sched.abar_cat(s)
-    theta = cat_posterior_theta(theta0_hat, y_t, alpha_eff, sched.abar_cat(s), n_classes)
-    return mu, var, theta
+    abar_s = sched.abar_cat(s)
+    return c0, ct, var, sched.abar_cat(t) / abar_s, abar_s
 
 
 def q_step(

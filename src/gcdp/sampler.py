@@ -25,6 +25,16 @@ the output are bit-exact. Sampling and outpainting run one reverse loop;
 outpainting adds the splice and the re-noising, and visits every step
 because the re-noising is the one-step forward kernel. An all-unknown mask
 is plain ancestral sampling.
+
+Outpainting builds only what its splice keeps. The posterior's
+coefficients, the known region's law at t-1 and the re-noising kernel
+depend on the visited step alone (Lugmayr et al., RePaint,
+arXiv 2201.09865), so they are built once per step, not once per inner
+iteration. A modality the mask makes wholly known gets no posterior (no
+softmax, no categorical posterior, no label draw), and one with no known
+coordinate gets no known-region law. The generator still gives every draw
+its full noise, in the order process.noise fixes, so every output is the
+one the unpruned chain gives.
 """
 
 from dataclasses import dataclass
@@ -35,7 +45,18 @@ from .denoiser import ReferenceDenoiser
 from .distribution import JointSample, softmax
 from .distribution import sample_rows  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .errors import NumericalError, ValidationError
-from .process import draw, posterior_arrays, q_marginal_arrays, q_step_arrays
+from .process import (
+    cat_posterior_theta,
+    draw,
+    forward_kernel,
+    kernel_rows,
+    noise,
+    posterior_arrays,
+    posterior_coeffs,
+    q_marginal_arrays,
+    realize,
+)
+from .process import q_step_arrays  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .schedules import NoiseSchedule
 
 
@@ -76,8 +97,9 @@ def _predict(
     conds: np.ndarray,
     guidance: GuidanceConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Guided clean-state prediction: (x0_hat (B,N), theta0 (B,M,K)), with
-    x0_hat clipped to the data range [-1, 1] after guidance mixing."""
+    """Guided clean-state prediction: (x0_hat (B,N), logits (B,M,K)), with
+    x0_hat clipped to the data range [-1, 1] after guidance mixing. The
+    caller takes the softmax of the logits only where it needs the PMF."""
     t_arr = np.full(x.shape[0], t)
     xc, lc, _ = model.forward_batch(x, y, t_arr, conds)
     if guidance.enabled and guidance.scale != 1.0:
@@ -90,7 +112,17 @@ def _predict(
         raise NumericalError(f"non-finite denoiser prediction at timestep {t}")
     # Clean images lie in [-1, 1]. An unclipped prediction outside it feeds
     # the posterior mean, and the chain can grow without bound.
-    return np.clip(xc, -1.0, 1.0), softmax(lc)
+    return np.clip(xc, -1.0, 1.0), lc
+
+
+def _splice(mask: np.ndarray, known: np.ndarray | None, generated: np.ndarray | None) -> np.ndarray:
+    """known where mask holds, generated elsewhere; known is None when the
+    mask holds nowhere, generated when it holds everywhere."""
+    if known is None:
+        return generated
+    if generated is None:
+        return known
+    return np.where(mask, known, generated)
 
 
 def _validate_steps(steps, total_steps: int) -> list[int]:
@@ -134,30 +166,49 @@ def _reverse_chain(
     coordinates drawn from their marginal at s (the clean values at the
     end), and all but the last of resample_n iterations re-noise the
     spliced state one step forward, so outpainting must visit every step.
+    Its step constants are built once per visited step, and only the laws
+    the splice keeps are built at all.
     """
     shape = model.config.shape
-    n_cls = shape.n_classes
+    n_gauss, n_cls = shape.n_gauss, shape.n_classes
     batch = conds.shape[0]
-    uniform = np.full((batch, shape.n_cat, n_cls), 1.0 / n_cls)
-    x, y = draw(np.zeros((batch, shape.n_gauss)), 1.0, uniform, rng)
+    x_shape, y_shape = (batch, n_gauss), (batch, shape.n_cat)
+    x, y = draw(np.zeros(x_shape), 1.0, np.full(y_shape + (n_cls,), 1.0 / n_cls), rng)
+    # gen_*: the modality has a generated coordinate, so it needs a posterior
+    gen_x = gen_y = True
+    if known is not None:
+        known_x, known_y, mask = known
+        mask_x, mask_y = mask[:n_gauss], mask[n_gauss:]
+        law_x = known_x if mask_x.any() else None
+        law_y = known_y if mask_y.any() else None
+        gen_x, gen_y = not mask_x.all(), not mask_y.all()
     desc = steps[::-1]
     for t, s in zip(desc, desc[1:] + [0]):
         inner = resample_n if known is not None and s > 0 else 1
+        if known is not None and s > 0:
+            c0, ct, var, alpha_eff, abar_s = posterior_coeffs(t, s, sched)
+            known_law = q_marginal_arrays(law_x, law_y, s, sched, n_cls)
+            keep, var_fwd, table_fwd = forward_kernel(t, sched, n_cls)
         for it in range(inner):
-            if known is not None:
-                xk, yk, mask = known
-                if s > 0:
-                    xk, yk = draw(*q_marginal_arrays(xk, yk, s, sched, n_cls), rng)
-            x0_hat, theta0 = _predict(model, x, y, t, conds, guidance)
-            if s > 0:
-                x_next, y_next = draw(*posterior_arrays(x0_hat, theta0, x, y, t, s, sched, n_cls), rng)
+            x0_hat, logits = _predict(model, x, y, t, conds, guidance)
+            if s == 0:
+                x_next, y_next = x0_hat, np.argmax(softmax(logits), axis=-1) + 1 if gen_y else None
+                if known is not None:
+                    # the clean values; labels as a fresh array of the dtype
+                    # np.where gives, also when the mask holds everywhere
+                    xk, yk = known_x, np.array(known_y, dtype=np.intp)
+            elif known is None:
+                x_next, y_next = draw(*posterior_arrays(x0_hat, softmax(logits), x, y, t, s, sched, n_cls), rng)
             else:
-                x_next, y_next = x0_hat, np.argmax(theta0, axis=-1) + 1
+                xk, yk = realize(*known_law, *noise(x_shape, y_shape, rng))
+                mu = c0 * x0_hat + ct * x if gen_x else None
+                theta = cat_posterior_theta(softmax(logits), y, alpha_eff, abar_s, n_cls) if gen_y else None
+                x_next, y_next = realize(mu, var, theta, *noise(x_shape, y_shape, rng))
             if known is not None:
-                x_next = np.where(mask[None, : shape.n_gauss], xk, x_next)
-                y_next = np.where(mask[None, shape.n_gauss :], yk, y_next)
+                x_next, y_next = _splice(mask_x, xk, x_next), _splice(mask_y, yk, y_next)
             if it < inner - 1:
-                x, y = q_step_arrays(x_next, y_next, t, sched, rng, n_cls)
+                theta_fwd = kernel_rows(table_fwd, y_next)
+                x, y = realize(keep * x_next, var_fwd, theta_fwd, *noise(x_shape, y_shape, rng))
             else:
                 x, y = x_next, y_next
         if not np.all(np.isfinite(x)):

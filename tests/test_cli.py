@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gcdp import cli
 from gcdp import io as gio
 from gcdp.cli import SCHEMAS, _load_sample_dir, _write_samples, canonical_config_text, main, parse_config_text
 from gcdp.errors import UsageError
@@ -243,13 +249,16 @@ class TestExitCodes:
             ("cond", "manifest line 3"),
             ("empty", "manifest lists no samples"),
             ("size", "sample_0002_layout.pgm: 4x2 PGM, expected 8x8"),
+            ("scene", "sample_0000_image.pgm: 5x5 PGM, but the dataset's scenes are 8x8"),
         ],
     )
     def test_malformed_samples_dir(self, pipeline, tmp_path, capsys, case, named):
         out = tmp_path / "samples"
         out.mkdir()
-        n = 4
-        _write_samples(out, np.zeros((n, 64)), np.ones((n, 64), dtype=np.int64), np.zeros(n, dtype=np.int64), 8, 8)
+        n, side = 4, 5 if case == "scene" else 8
+        pixels = side * side
+        _write_samples(out, np.zeros((n, pixels)), np.ones((n, pixels), dtype=np.int64), np.zeros(n, dtype=np.int64),
+                       side, side)
         lines = (out / "manifest.txt").read_text().splitlines()
         if case == "index":
             lines[1] = lines[1].replace("1 ", "one ", 1)
@@ -257,13 +266,20 @@ class TestExitCodes:
             lines[2] = lines[2][:-1] + "0.5"
         elif case == "empty":
             lines = [""]
-        else:
+        elif case == "size":
             gio.write_pgm(out / "sample_0002_layout.pgm", np.ones((2, 4), dtype=np.uint8))
         (out / "manifest.txt").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run("evaluate", "--samples", str(out), "--data", str(pipeline / "data" / "dataset.gcds"),
                    "--out", str(tmp_path / "eval")) == 2
         assert named in capsys.readouterr().err
+
+    def test_importing_the_cli_leaves_the_oracle_stack_unloaded(self):
+        code = "import sys, gcdp.cli; print([m for m in ('gcdp.verify', 'scipy.integrate') if m in sys.modules])"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_verify_fast_passes(self, tmp_path, capsys):
         assert run("verify", "--fast", "--out", str(tmp_path / "v")) == 0

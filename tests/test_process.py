@@ -14,6 +14,8 @@ from gcdp.process import (
     cat_posterior_theta,
     draw,
     gauss_posterior_coeffs,
+    kernel_rows,
+    kernel_table,
     one_hot,
     posterior_arrays,
     posterior_params,
@@ -329,6 +331,37 @@ class TestStride:
             posterior_arrays(x0, th0, x0, np.array([1]), 3, 3, sched, 2)
         with pytest.raises(ValidationError):
             posterior_arrays(x0, th0, x0, np.array([1]), 3, 0, sched, 2)
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_gather_equals_the_one_hot_mix_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        y = rng.integers(1, k + 1, (5, 11))
+        for keep in (float(rng.uniform()), 0.0, 1.0, rng.uniform(size=(5, 1, 1))):
+            rows = kernel_rows(kernel_table(keep, k), y)
+            ref = uniform_mix(one_hot(y, k), keep, k)
+            assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
+        keep = float(rng.uniform())
+        assert kernel_rows(kernel_table(keep, k), y[0]).tobytes() == uniform_mix(one_hot(y[0], k), keep, k).tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 4])
+    def test_labels_outside_1_to_k_raise_wherever_one_hot_did(self, bad):
+        sched = random_schedule(np.random.default_rng(13), 4)
+        x, y = np.zeros((2, 1)), np.array([[1, 2], [3, bad]])
+        theta0 = np.full((2, 2, 3), 1.0 / 3.0)
+        calls = (
+            lambda: kernel_rows(kernel_table(0.5, 3), y),
+            lambda: kernel_rows(kernel_table(np.full((2, 1, 1), 0.5), 3), y),
+            lambda: q_step_arrays(x, y, 2, sched, np.random.default_rng(0), 3),
+            lambda: q_marginal_arrays(x, y, 2, sched, 3),
+            lambda: q_marginal_arrays(x, y, np.array([2, 3]), sched, 3),
+            lambda: cat_posterior_theta(theta0, y, 0.5, 0.5, 3),
+            lambda: cat_posterior_theta(theta0, y, np.full((2, 1, 1), 0.5), 0.5, 3),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="labels must lie"):
+                call()
 
 
 def test_one_hot_rejects_out_of_range():

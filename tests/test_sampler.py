@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from gcdp import sampler
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
-from gcdp.distribution import JointSample, ShapeSpec
+from gcdp.distribution import JointSample, ShapeSpec, row_sum, sample_rows, softmax
 from gcdp.errors import NumericalError, ValidationError
+from gcdp.process import NORM_FLOOR, gauss_posterior_coeffs, one_hot, uniform_mix
 from gcdp.sampler import (
     GuidanceConfig,
     OutpaintSpec,
@@ -282,3 +284,109 @@ class TestOutpaint:
         x, y = outpaint_batch(model, sched, kx, ky, mask, 1, np.zeros(3, dtype=int), GuidanceConfig(), rng)
         assert np.array_equal(x, kx)
         assert y.shape == (3, s.n_cat)
+
+
+def _reference_outpaint(model, sched, known_x, known_y, mask, resample_n, conds, guidance, rng):
+    """Resampled outpainting as one loop that builds every law whole, on
+    every inner iteration, from one-hot rows: the known region's marginal
+    at s, the joint posterior and the one-step re-noising kernel."""
+    shape = model.config.shape
+    n_gauss, k = shape.n_gauss, shape.n_classes
+    batch = conds.shape[0]
+
+    def predict(x, y, t):
+        t_arr = np.full(batch, t)
+        xc, lc, _ = model.forward_batch(x, y, t_arr, conds)
+        if guidance.enabled and guidance.scale != 1.0:
+            xu, lu, _ = model.forward_batch(x, y, t_arr, np.full(batch, -1))
+            xc = xu + guidance.scale * (xc - xu)
+            lc = lu + guidance.scale * (lc - lu)
+        return np.clip(xc, -1.0, 1.0), softmax(lc)
+
+    def draw(mu, var, theta):
+        x = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+        return x, sample_rows(theta, rng.random(theta.shape[:-1]))
+
+    x, y = draw(np.zeros((batch, n_gauss)), 1.0, np.full((batch, shape.n_cat, k), 1.0 / k))
+    desc = list(range(sched.total_steps, 0, -1))
+    for t, s in zip(desc, desc[1:] + [0]):
+        inner = resample_n if s > 0 else 1
+        for it in range(inner):
+            xk, yk = known_x, known_y
+            if s > 0:
+                abar = sched.abar_gauss(s)
+                theta_k = uniform_mix(one_hot(known_y, k), sched.abar_cat(s), k)
+                xk, yk = draw(np.sqrt(abar) * known_x, np.maximum(1.0 - abar, 1e-12), theta_k)
+            x0_hat, theta0 = predict(x, y, t)
+            if s > 0:
+                c0, ct, var = gauss_posterior_coeffs(t, s, sched)
+                like = uniform_mix(one_hot(y, k), sched.abar_cat(t) / sched.abar_cat(s), k)
+                unnorm = like * uniform_mix(theta0, sched.abar_cat(s), k)
+                x_next, y_next = draw(c0 * x0_hat + ct * x, var, unnorm / np.maximum(row_sum(unnorm), NORM_FLOOR))
+            else:
+                x_next, y_next = x0_hat, np.argmax(theta0, axis=-1) + 1
+            x_next = np.where(mask[None, :n_gauss], xk, x_next)
+            y_next = np.where(mask[None, n_gauss:], yk, y_next)
+            if it < inner - 1:
+                bn = float(sched.beta_gauss[t - 1])
+                theta_f = uniform_mix(one_hot(y_next, k), float(sched.alpha_cat[t - 1]), k)
+                x, y = draw(np.sqrt(1.0 - bn) * x_next, bn, theta_f)
+            else:
+                x, y = x_next, y_next
+    return x, y
+
+
+class TestOutpaintMatchesTheWholeLawLoop:
+    def _masks(self, s):
+        n, m = s.n_gauss, s.n_cat
+        partial = np.zeros(n + m, bool)
+        partial[[0, 2, 3, n + 1, n + 4, n + 5]] = True
+        return {
+            "layout": np.concatenate([np.ones(n, bool), np.zeros(m, bool)]),
+            "image": np.concatenate([np.zeros(n, bool), np.ones(m, bool)]),
+            "partial": partial,
+        }
+
+    @pytest.mark.parametrize("mode", ["layout", "image", "partial"])
+    @pytest.mark.parametrize("resample_n", [1, 3])
+    @pytest.mark.parametrize("w", [1.0, 2.0])
+    def test_outputs_and_generator_state_are_bitwise_equal(self, setup, mode, resample_n, w):
+        model, sched = setup
+        s = model.config.shape
+        data = np.random.default_rng(20)
+        kx = data.uniform(-1, 1, (4, s.n_gauss))
+        ky = data.integers(1, s.n_classes + 1, (4, s.n_cat))
+        conds = np.array([0, 1, 1, 0])
+        mask = self._masks(s)[mode]
+        guidance = GuidanceConfig(scale=w, enabled=True)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        x, y = outpaint_batch(model, sched, kx, ky, mask, resample_n, conds, guidance, rng)
+        x_ref, y_ref = _reference_outpaint(model, sched, kx, ky, mask, resample_n, conds, guidance, ref_rng)
+        assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_all_known_labels_build_no_label_posterior(self, setup, monkeypatch):
+        model, sched = setup
+        s = model.config.shape
+        calls = {"softmax": 0, "cat_posterior_theta": 0}
+
+        def counting(name):
+            fn = getattr(sampler, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sampler, name, counting(name))
+        masks = self._masks(s)
+        kx, ky = np.zeros((2, s.n_gauss)), np.ones((2, s.n_cat), dtype=np.int64)
+        conds = np.zeros(2, dtype=np.int64)
+        outpaint_batch(model, sched, kx, ky, masks["image"], 3, conds, GuidanceConfig(), np.random.default_rng(0))
+        assert calls == {"softmax": 0, "cat_posterior_theta": 0}
+        outpaint_batch(model, sched, kx, ky, masks["layout"], 1, conds, GuidanceConfig(), np.random.default_rng(0))
+        # one label posterior per transition, and the decoder mode at t = 1
+        assert calls == {"softmax": sched.total_steps, "cat_posterior_theta": sched.total_steps - 1}

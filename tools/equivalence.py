@@ -10,7 +10,10 @@ thread, and compares every output directory by `perfbench.checks.tree_digest`
   generate-data  a 256-scene 8x8 training set and a 4-scene known set
   train          40 steps at T in {100, 1000} x p in {1, 3}
   sample         on each checkpoint, stride 100 and 10, unguided and at w=2
-  outpaint       on each checkpoint, layout (n=1) and image (n=5)
+  outpaint       on each checkpoint, layout (n=1), image (n=5), and a fixed
+                 partial mask (n=3) that the tool writes with each tree's own
+                 gcdp.io: the left half of the image and the top half of the
+                 layout are known
   evaluate       on each sample and outpaint tree, against the training set
 
 Prints one row per call with both digests and wall times, and exits 0 when
@@ -37,6 +40,11 @@ MODEL = ["--steps", 40, "--batch", 64, "--log-every", 10, "--seed", 3]
 SCHEDULES = [(100, 1.0), (100, 3.0), (1000, 1.0), (1000, 3.0)]
 N_SAMPLES = 8
 N_KNOWN = 4
+MASK_CODE = (
+    "import sys, numpy as np; from gcdp import io; "
+    "col, row = np.tile(np.arange(8), 8), np.repeat(np.arange(8), 8); "
+    "io.save_mask(sys.argv[1], np.concatenate([col < 4, row < 4]))"
+)
 
 
 def calls() -> list[tuple[str, list]]:
@@ -58,10 +66,22 @@ def calls() -> list[tuple[str, list]]:
                 "--seed", 5]
         out.append((f"{ck}_outpaint_layout", [*base, "--mask-mode", "layout", "--resample-n", 1]))
         out.append((f"{ck}_outpaint_image", [*base, "--mask-mode", "image", "--resample-n", 5]))
+        out.append((f"{ck}_outpaint_partial",
+                    [*base, "--mask-mode", "file", "--mask", "{out:mask}/mask.gcmk", "--resample-n", 3]))
     samples = [name for name, argv in out if argv[0] in ("sample", "outpaint")]
     out += [(f"{name}_eval", ["evaluate", "--samples", f"{{out:{name}}}", "--data", "{out:data}/dataset.gcds"])
             for name in samples]
     return out
+
+
+def _env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
+
+
+def write_mask(src: Path, work: Path):
+    """Write the partial mask to work/mask/mask.gcmk with src's gcdp.io."""
+    (work / "mask").mkdir(parents=True, exist_ok=True)
+    subprocess.run([sys.executable, "-c", MASK_CODE, str(work / "mask" / "mask.gcmk")], env=_env(src), check=True)
 
 
 def run_call(src: Path, work: Path, name: str, argv: list) -> float:
@@ -73,11 +93,10 @@ def run_call(src: Path, work: Path, name: str, argv: list) -> float:
             ref, _, rest = a[len("{out:"):].partition("}")
             a = str(work / ref) + rest
         args.append(a)
-    env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "gcdp.cli", *args, "--out", str(work / name)],
-        env=env, capture_output=True, text=True,
+        env=_env(src), capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise SystemExit(f"{src}: gcdp {' '.join(args)} exited with {proc.returncode}:\n{proc.stderr}")
@@ -90,6 +109,7 @@ def compare(parent_src: Path, change_src: Path, work: Path) -> bool:
     digests = {side: {} for side in sides}
     walls = {side: {} for side in sides}
     for side, src in sides.items():
+        write_mask(src, work / side)
         for name, argv in plan:
             walls[side][name] = run_call(src, work / side, name, argv)
             digests[side][name] = tree_digest(work / side / name)
