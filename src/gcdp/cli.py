@@ -176,11 +176,11 @@ def cmd_generate_data(cfg: dict) -> int:
         grammar=tuple(cfg["grammar"].split(",")),
         seed=cfg["seed"],
     )
-    samples = generate(scene, cfg["count"])
+    arrays = generate(scene, cfg["count"])
     out = _out_dir(cfg, "generate-data")
     path = out / "dataset.gcds"
-    gio.save_dataset(path, scene, samples)
-    print(f"wrote {len(samples)} samples to {path}")
+    gio.save_dataset(path, scene, arrays)
+    print(f"wrote {cfg['count']} samples to {path}")
     return 0
 
 

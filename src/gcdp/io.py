@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .denoiser import DenoiserConfig, ReferenceDenoiser
-from .distribution import JointSample, ShapeSpec
+from .distribution import ShapeSpec
 from .errors import FormatError, ValidationError
 from .metrics import EvalReport
-from .scenes import SCENE_TYPES, SceneConfig, SceneSample
+from .scenes import SCENE_TYPES, SceneConfig, SceneSample, scene_samples
 from .schedules import NoiseSchedule
 
 CHECKPOINT_MAGIC = b"GCDP"
@@ -74,14 +74,10 @@ class Writer:
         self.u32(arr.size)
         self.buf += arr.tobytes()
 
-    def u16_array(self, arr: np.ndarray):
-        arr = np.ascontiguousarray(arr, dtype="<u2")
-        self.u32(arr.size)
-        self.buf += arr.tobytes()
-
     def finish(self) -> bytes:
-        crc = zlib.crc32(bytes(self.buf)) & 0xFFFFFFFF
-        return bytes(self.buf) + struct.pack("<I", crc)
+        """The buffer with its CRC-32 appended; the writer is done after."""
+        self.u32(zlib.crc32(self.buf) & 0xFFFFFFFF)
+        return bytes(self.buf)
 
 
 class Reader:
@@ -239,7 +235,48 @@ def load_checkpoint(path) -> Checkpoint:
     return checkpoint_from_bytes(Path(path).read_bytes(), name=str(path))
 
 
-def dataset_bytes(cfg: SceneConfig, samples: list[SceneSample]) -> bytes:
+def _record_dtype(n_pixels: int) -> np.dtype:
+    """One fixed-size dataset record: the length-prefixed image and labels,
+    then the condition ID."""
+    return np.dtype([
+        ("x_len", "<u4"), ("x", "<f4", (n_pixels,)),
+        ("y_len", "<u4"), ("y", "<u2", (n_pixels,)),
+        ("cond", "<u4"),
+    ])
+
+
+def dataset_bytes(cfg: SceneConfig, arrays: tuple[np.ndarray, np.ndarray, np.ndarray]) -> bytes:
+    """The dataset file of (images (n, N), labels (n, N), conditions (n,)),
+    as generate gives them. The records are written as one array of the
+    reader's record layout. What the reader would reject raises
+    ValidationError instead: a row of the wrong length, a pixel that is not
+    finite in float32, a label outside 1..K (or beyond u16), or a condition
+    ID outside 0..n_conds-1."""
+    x, y, c = (np.asarray(a) for a in arrays)
+    n_pix = cfg.n_pixels
+    if x.ndim != 2 or y.ndim != 2 or c.ndim != 1 or not (x.shape[0] == y.shape[0] == c.shape[0]):
+        raise ValidationError(
+            f"dataset arrays must be (n, N) images, (n, N) labels and (n,) conditions, got shapes "
+            f"{x.shape}, {y.shape} and {c.shape}"
+        )
+    if x.shape[1] != n_pix or y.shape[1] != n_pix:
+        raise ValidationError(f"dataset rows hold {x.shape[1]} pixels and {y.shape[1]} labels, expected {n_pix}")
+    rec = np.empty(x.shape[0], dtype=_record_dtype(n_pix))
+    rec["x_len"] = n_pix
+    rec["x"] = x
+    rec["y_len"] = n_pix
+    rec["cond"] = c
+    max_label = min(cfg.n_classes, np.iinfo(np.uint16).max)
+    faults = (
+        (~np.isfinite(rec["x"]), "a pixel that is not finite in float32"),
+        ((y < 1) | (y > max_label), f"a label outside 1..{max_label}"),
+        (((c < 0) | (c >= cfg.n_conds))[:, None], f"a condition ID outside 0..{cfg.n_conds - 1}"),
+    )
+    for mask, what in faults:
+        bad = np.flatnonzero(mask.any(axis=1))
+        if bad.size:
+            raise ValidationError(f"dataset sample {int(bad[0])} has {what}")
+    rec["y"] = y
     w = Writer()
     w.raw(DATASET_MAGIC)
     w.u16(FORMAT_VERSION)
@@ -252,22 +289,9 @@ def dataset_bytes(cfg: SceneConfig, samples: list[SceneSample]) -> bytes:
     for g in cfg.grammar:
         w.u8(SCENE_TYPES.index(g))
     w.u64(cfg.seed)
-    w.u32(len(samples))
-    for s in samples:
-        w.f32_array(s.sample.x)
-        w.u16_array(s.sample.y)
-        w.u32(s.cond)
+    w.u32(rec.shape[0])
+    w.raw(rec.tobytes())
     return w.finish()
-
-
-def _record_dtype(n_pixels: int) -> np.dtype:
-    """One fixed-size dataset record: the length-prefixed image and labels,
-    then the condition ID."""
-    return np.dtype([
-        ("x_len", "<u4"), ("x", "<f4", (n_pixels,)),
-        ("y_len", "<u4"), ("y", "<u2", (n_pixels,)),
-        ("cond", "<u4"),
-    ])
 
 
 def _record_fault(r: Reader, i: int, n_pixels: int):
@@ -351,12 +375,12 @@ def dataset_arrays_from_bytes(
 
 
 def dataset_from_bytes(data: bytes, name: str = "dataset") -> tuple[SceneConfig, list[SceneSample]]:
-    cfg, (x, y, c) = dataset_arrays_from_bytes(data, name)
-    return cfg, [SceneSample(sample=JointSample(x=xi, y=yi), cond=int(ci)) for xi, yi, ci in zip(x, y, c)]
+    cfg, arrays = dataset_arrays_from_bytes(data, name)
+    return cfg, scene_samples(arrays)
 
 
-def save_dataset(path, cfg: SceneConfig, samples: list[SceneSample]):
-    Path(path).write_bytes(dataset_bytes(cfg, samples))
+def save_dataset(path, cfg: SceneConfig, arrays: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    Path(path).write_bytes(dataset_bytes(cfg, arrays))
 
 
 def load_dataset(path) -> tuple[SceneConfig, list[SceneSample]]:

@@ -15,6 +15,13 @@ uniform (given its parents), so the distribution of any layout statistic
 can be computed exactly by enumerating the grammar; that enumeration is
 the reference law for the total-variation check.
 
+Scene i of a dataset draws from its own generator, default_rng of the
+i-th child of SeedSequence(seed), in this order: the scene-type index,
+the horizon row, then for a blob scene the blob class, the height-side
+index, the width-side index, the top row and the left column, and last
+the N standard normals of its texture. Only the draws run per scene:
+the layouts, images and condition IDs of all scenes are formed as arrays.
+
 The condition ID encodes the set of classes present in the layout, the
 stand-in for a caption that lists the visible classes. Blobs are at most
 4 wide on grids at least 5 wide, so both horizon classes stay visible and
@@ -117,51 +124,55 @@ class SceneSample:
     cond: int
 
 
-def _blob_ranges(cfg: SceneConfig):
-    for cls in range(3, cfg.n_classes + 1):
-        for bh in BLOB_SIDES:
-            for bw in BLOB_SIDES:
-                yield cls, bh, bw
+def _paint_layouts(cfg: SceneConfig, horizon, cls, bh, bw, top, left) -> np.ndarray:
+    """(n, N) int64 layouts, one per entry of the broadcast arguments: sky
+    (class 1) in the rows above `horizon`, ground (class 2) below, and a
+    `bh` x `bw` blob of class `cls` at (`top`, `left`); bh = 0 paints no
+    blob."""
+    rows = np.arange(cfg.height)[:, None]
+    cols = np.arange(cfg.width)
+    horizon, cls, bh, bw, top, left = (np.asarray(v)[..., None, None] for v in (horizon, cls, bh, bw, top, left))
+    in_blob = ((rows >= top) & (rows < top + bh)) & ((cols >= left) & (cols < left + bw))
+    lay = np.where(in_blob, cls, np.where(rows < horizon, 1, 2))
+    return lay.reshape(-1, cfg.n_pixels)
 
 
-def _build_layout(cfg: SceneConfig, scene_type: str, horizon: int, blob=None) -> np.ndarray:
-    lay = np.full((cfg.height, cfg.width), 2, dtype=np.int64)
-    lay[:horizon, :] = 1
-    if scene_type == "horizon+blob":
-        cls, bh, bw, top, left = blob
-        lay[top : top + bh, left : left + bw] = cls
-    return lay.reshape(-1)
+def _class_set(blob_cls: int) -> tuple[int, ...]:
+    """The class set of a layout whose blob has class `blob_cls`; 0: no blob."""
+    return (1, 2, blob_cls) if blob_cls else (1, 2)
 
 
-def _draw_layout(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
-    scene_type = cfg.grammar[rng.integers(len(cfg.grammar))]
-    horizon = int(rng.integers(1, cfg.height))
-    blob = None
-    if scene_type == "horizon+blob":
-        cls = int(rng.integers(3, cfg.n_classes + 1))
-        bh = BLOB_SIDES[rng.integers(len(BLOB_SIDES))]
-        bw = BLOB_SIDES[rng.integers(len(BLOB_SIDES))]
-        top = int(rng.integers(0, cfg.height - bh + 1))
-        left = int(rng.integers(0, cfg.width - bw + 1))
-        blob = (cls, bh, bw, top, left)
-    return _build_layout(cfg, scene_type, horizon, blob)
-
-
-def generate(cfg: SceneConfig, count: int) -> list[SceneSample]:
-    """Deterministic per cfg.seed; items use independent spawned streams so
-    the result does not depend on chunking."""
+def generate(cfg: SceneConfig, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(images (count, N) float64, layouts (count, N) int64, conditions
+    (count,) int64), deterministic per cfg.seed. Each item draws from its
+    own stream, in the order the module docstring gives, so the first k
+    items do not depend on count."""
     if count < 0:
         raise ValidationError("count must be nonnegative")
-    palette = np.asarray(cfg.palette)
-    out = []
-    for child in np.random.SeedSequence(cfg.seed).spawn(count):
+    n_types, n_sides = len(cfg.grammar), len(BLOB_SIDES)
+    draws = np.zeros((count, 6), dtype=np.int64)  # horizon, cls, bh, bw, top, left; bh = bw = 0: no blob
+    x = np.empty((count, cfg.n_pixels))
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(count)):
         rng = np.random.default_rng(child)
-        y = _draw_layout(cfg, rng)
-        x = palette[y - 1] + cfg.sigma_data * rng.standard_normal(cfg.n_pixels)
-        np.clip(x, -1.0, 1.0, out=x)
-        cond = cfg.cond_of_class_set(np.unique(y))
-        out.append(SceneSample(sample=JointSample(x=x, y=y), cond=cond))
-    return out
+        scene_type = cfg.grammar[rng.integers(n_types)]
+        horizon = rng.integers(1, cfg.height)
+        if scene_type == "horizon+blob":
+            cls = rng.integers(3, cfg.n_classes + 1)
+            bh = BLOB_SIDES[rng.integers(n_sides)]
+            bw = BLOB_SIDES[rng.integers(n_sides)]
+            top = rng.integers(0, cfg.height - bh + 1)
+            draws[i] = horizon, cls, bh, bw, top, rng.integers(0, cfg.width - bw + 1)
+        else:
+            draws[i, 0] = horizon
+        rng.standard_normal(out=x[i])
+    y = _paint_layouts(cfg, *draws.T)
+    x *= cfg.sigma_data
+    x += np.asarray(cfg.palette)[y - 1]
+    np.clip(x, -1.0, 1.0, out=x)
+    # blobs never cover a whole row, so a layout's class set follows from its blob class
+    blob_cls, which = np.unique(draws[:, 1], return_inverse=True)
+    conds = np.array([cfg.cond_of_class_set(_class_set(k)) for k in blob_cls.tolist()], dtype=np.int64)
+    return x, y, conds[which.reshape(-1)]
 
 
 def dataset_arrays(samples: list[SceneSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,6 +181,12 @@ def dataset_arrays(samples: list[SceneSample]) -> tuple[np.ndarray, np.ndarray, 
     y = np.stack([s.sample.y for s in samples])
     c = np.array([s.cond for s in samples], dtype=np.int64)
     return x, y, c
+
+
+def scene_samples(arrays: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[SceneSample]:
+    """The samples of (images, labels, conditions) arrays; the inverse of
+    dataset_arrays."""
+    return [SceneSample(sample=JointSample(x=xi, y=yi), cond=int(ci)) for xi, yi, ci in zip(*arrays)]
 
 
 def oracle_segment(image: np.ndarray, cfg: SceneConfig) -> np.ndarray:
@@ -193,25 +210,37 @@ def scene_statistic(layout: np.ndarray, cfg: SceneConfig) -> tuple[tuple[int, ..
 
 def analytic_statistic_distribution(cfg: SceneConfig) -> dict[tuple, float]:
     """Exact law of scene_statistic under the grammar, by enumerating every
-    discrete choice with its probability."""
+    discrete choice with its probability. The layouts of one scene type, or
+    of one horizon and blob class, are painted together, and probabilities
+    are added in the order scene type, horizon, blob class, height side,
+    width side, top, left."""
     dist: dict[tuple, float] = {}
     p_type = 1.0 / len(cfg.grammar)
     p_horizon = 1.0 / (cfg.height - 1)
     for scene_type in cfg.grammar:
-        for horizon in range(1, cfg.height):
-            if scene_type == "horizon":
-                lay = _build_layout(cfg, scene_type, horizon)
-                key = scene_statistic(lay, cfg)
-                dist[key] = dist.get(key, 0.0) + p_type * p_horizon
-            else:
-                p_geom = 1.0 / ((cfg.n_classes - 2) * len(BLOB_SIDES) ** 2)
-                for cls, bh, bw in _blob_ranges(cfg):
-                    n_top = cfg.height - bh + 1
-                    n_left = cfg.width - bw + 1
-                    p_pos = 1.0 / (n_top * n_left)
-                    for top in range(n_top):
-                        for left in range(n_left):
-                            lay = _build_layout(cfg, scene_type, horizon, (cls, bh, bw, top, left))
-                            key = scene_statistic(lay, cfg)
-                            dist[key] = dist.get(key, 0.0) + p_type * p_horizon * p_geom * p_pos
+        if scene_type == "horizon":
+            horizons = np.arange(1, cfg.height)
+            chunks = [(_class_set(0), _paint_layouts(cfg, horizons, 0, 0, 0, 0, 0), np.full(horizons.size, p_type * p_horizon))]
+        else:
+            p_geom = 1.0 / ((cfg.n_classes - 2) * len(BLOB_SIDES) ** 2)
+            # (bh, bw, top, left, probability of the position) of every blob geometry
+            geoms = [
+                (bh, bw, top, left, 1.0 / ((cfg.height - bh + 1) * (cfg.width - bw + 1)))
+                for bh in BLOB_SIDES
+                for bw in BLOB_SIDES
+                for top in range(cfg.height - bh + 1)
+                for left in range(cfg.width - bw + 1)
+            ]
+            bh, bw, top, left, p_pos = (np.array(v) for v in zip(*geoms))
+            chunks = (
+                (_class_set(cls), _paint_layouts(cfg, horizon, cls, bh, bw, top, left), p_type * p_horizon * p_geom * p_pos)
+                for horizon in range(1, cfg.height)
+                for cls in range(3, cfg.n_classes + 1)
+            )
+        for classes, lays, probs in chunks:
+            p1 = np.count_nonzero(lays == 1, axis=1) / cfg.n_pixels
+            bins = np.minimum((p1 * PROP_BINS).astype(np.int64), PROP_BINS - 1)
+            for b, p in zip(bins.tolist(), probs.tolist()):
+                key = (classes, b)
+                dist[key] = dist.get(key, 0.0) + p
     return dist

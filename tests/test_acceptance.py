@@ -25,7 +25,7 @@ from gcdp.metrics import (
     semantic_recall,
 )
 from gcdp.sampler import GuidanceConfig, default_stride, outpaint_batch, sample_batch
-from gcdp.scenes import SceneConfig, dataset_arrays, generate, oracle_segment
+from gcdp.scenes import SceneConfig, dataset_arrays, generate, oracle_segment, scene_samples
 from gcdp.schedules import cosine_schedule
 from gcdp.training import TrainConfig, train, vlb_loss
 from gcdp.verify import (
@@ -84,7 +84,7 @@ def test_criterion_4_gradient_check():
 
 @pytest.fixture(scope="session")
 def toy_data():
-    return generate(TOY, 4096)
+    return scene_samples(generate(TOY, 4096))
 
 
 @pytest.fixture(scope="session")
@@ -172,12 +172,9 @@ def test_criterion_6_outpainting(trained_model, toy_data):
     model, sched = trained_model["model"], trained_model["sched"]
     shape = model.config.shape
     n = 64
-    test_samples = generate(
+    kx, ky, conds = generate(
         SceneConfig(height=8, width=8, n_classes=4, sigma_data=0.05, seed=99), n
     )
-    kx = np.stack([s.sample.x for s in test_samples])
-    ky = np.stack([s.sample.y for s in test_samples])
-    conds = np.array([s.cond for s in test_samples])
 
     # image known, layout generated (n=1)
     mask_img_known = np.concatenate([np.ones(shape.n_gauss, bool), np.zeros(shape.n_cat, bool)])
@@ -267,7 +264,7 @@ def test_criterion_8_metric_unit_suite():
 
     from gcdp.scenes import analytic_statistic_distribution, scene_statistic
 
-    grammar_layouts = np.stack([s.sample.y for s in generate(TOY, 2000)])
+    _, grammar_layouts, _ = generate(TOY, 2000)
     dist = analytic_statistic_distribution(TOY)
     self_bound = 1.5 * sum(np.sqrt(p * (1 - p) / 2000) for p in dist.values())
     checks.append(joint_tv(grammar_layouts, TOY) < self_bound)

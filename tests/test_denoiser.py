@@ -139,6 +139,28 @@ def test_time_embedding_shape_and_determinism():
     assert not np.allclose(e[0], e[1])
 
 
+def per_row_time_embedding(t, dim: int) -> np.ndarray:
+    """The embedding as first written, applied to each timestep on its own."""
+    half = dim // 2
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
+    rows = []
+    for v in np.asarray(t, dtype=np.float64):
+        ang = np.array([[v]]) * freqs[None, :]
+        rows.append(np.concatenate([np.sin(ang), np.cos(ang)], axis=1))
+    return np.concatenate(rows).reshape(len(rows), 2 * half)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 32, 1000])
+def test_time_embedding_is_bitwise_the_per_row_code(batch):
+    uniform = [np.full(batch, v) for v in range(1, 1001)] if batch <= 32 else [np.full(batch, v) for v in (1, 37, 1000)]
+    mixed = [np.random.default_rng(batch).integers(1, 1001, batch), np.arange(batch) % 3 + 1]
+    for t in uniform + mixed:
+        for dim in (4, 16):
+            got = time_embedding(t, dim)
+            assert got.shape == (batch, dim) and got.flags.writeable
+            assert np.array_equal(got, per_row_time_embedding(t, dim))
+
+
 def test_backward_matches_finite_differences(tiny_model):
     """Network-only gradient check through a fixed linear readout."""
     rng = np.random.default_rng(6)

@@ -9,7 +9,7 @@ from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
 from gcdp.distribution import ShapeSpec
 from gcdp.errors import FormatError, ValidationError
 from gcdp.metrics import EvalReport
-from gcdp.scenes import SceneConfig, generate
+from gcdp.scenes import SCENE_TYPES, SceneConfig, generate
 from gcdp.schedules import cosine_schedule
 from gcdp.cli import main as cli_main
 from gcdp.sampler import GuidanceConfig, sample_batch
@@ -51,7 +51,7 @@ class TestCheckpoint:
         shape = ShapeSpec(n_gauss=scene.n_pixels, n_cat=scene.n_pixels, n_classes=3)
         cfg = DenoiserConfig(shape=shape, n_conds=scene.n_conds, hidden=32, n_blocks=2)
         sched = cosine_schedule(50, p=2.0)
-        model, _, _ = train(dataset_arrays(generate(scene, 64)), ReferenceDenoiser.init(cfg, seed=1), sched,
+        model, _, _ = train(generate(scene, 64), ReferenceDenoiser.init(cfg, seed=1), sched,
                               TrainConfig(steps=50, batch_size=16, seed=4))
         path = tmp_path / "model.gcdp"
         gio.save_checkpoint(path, gio.Checkpoint(model, sched, 50, 4, 4, 4))
@@ -105,7 +105,72 @@ class TestCheckpoint:
             gio.checkpoint_from_bytes(blob[:10])
 
 
+def reference_dataset_bytes(cfg: SceneConfig, arrays) -> bytes:
+    """The dataset writer as first written: the header, then each record
+    field written on its own."""
+    w = gio.Writer()
+    w.raw(gio.DATASET_MAGIC)
+    w.u16(gio.FORMAT_VERSION)
+    w.u32(cfg.height)
+    w.u32(cfg.width)
+    w.u32(cfg.n_classes)
+    w.f32_array(np.asarray(cfg.palette))
+    w.f32(cfg.sigma_data)
+    w.u32(len(cfg.grammar))
+    for g in cfg.grammar:
+        w.u8(SCENE_TYPES.index(g))
+    w.u64(cfg.seed)
+    x, y, c = arrays
+    w.u32(len(c))
+    for xi, yi, ci in zip(x, y, c):
+        w.f32_array(xi)
+        w.u32(len(yi))
+        w.raw(np.asarray(yi, dtype="<u2").tobytes())
+        w.u32(int(ci))
+    payload = bytes(w.buf)
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
 class TestDataset:
+    @pytest.mark.parametrize("kw,count", [
+        ({}, 0), ({}, 1), ({}, 33),
+        ({"grammar": ("horizon",), "height": 3, "width": 7}, 9),
+        ({"n_classes": 6, "height": 6, "width": 9, "seed": 2}, 17),
+        ({"sigma_data": 0.0, "palette": (-1.0, 0.2, 0.4, 0.9), "seed": 3}, 5),
+    ])
+    def test_bytes_are_the_per_record_writer(self, kw, count):
+        cfg = SceneConfig(**kw)
+        arrays = generate(cfg, count)
+        assert gio.dataset_bytes(cfg, arrays) == reference_dataset_bytes(cfg, arrays)
+
+    @pytest.mark.parametrize("fault,match", [
+        ("x_row", "pixels"), ("y_row", "labels"), ("inf", "not finite"), ("f32_overflow", "not finite"),
+        ("label_0", "label outside 1..4"), ("label_above_k", "label outside 1..4"),
+        ("cond_n", "condition ID outside 0..2"), ("cond_negative", "condition ID outside 0..2"),
+    ])
+    def test_writer_refuses_what_the_reader_rejects(self, fault, match):
+        cfg = SceneConfig(seed=10)
+        x, y, c = generate(cfg, 4)
+        if fault == "x_row":
+            x = x[:, :-1]
+        elif fault == "y_row":
+            y = np.concatenate([y, y[:, :1]], axis=1)
+        elif fault in ("inf", "f32_overflow"):
+            x[2, 5] = np.inf if fault == "inf" else 1e300
+        elif fault in ("label_0", "label_above_k"):
+            y[1, 3] = 0 if fault == "label_0" else cfg.n_classes + 1
+        else:
+            c[3] = cfg.n_conds if fault == "cond_n" else -1
+        with pytest.raises(ValidationError, match=match), np.errstate(over="ignore"):
+            gio.dataset_bytes(cfg, (x, y, c))
+
+    def test_writer_refuses_a_label_that_wraps_in_u16(self):
+        cfg = SceneConfig(n_classes=70_000, grammar=("horizon",), sigma_data=0.0)
+        x, y, c = generate(cfg, 2)
+        y[0, 0] = 65_537  # a valid class of cfg, stored as u16 it would read back as 1
+        with pytest.raises(ValidationError, match="label outside 1..65535"):
+            gio.dataset_bytes(cfg, (x, y, c))
+
     def test_round_trip_byte_identical(self, tmp_path):
         cfg = SceneConfig(seed=4)
         samples = generate(cfg, 8)
@@ -113,11 +178,11 @@ class TestDataset:
         gio.save_dataset(path, cfg, samples)
         first = path.read_bytes()
         cfg2, samples2 = gio.load_dataset(path)
-        gio.save_dataset(path, cfg2, samples2)
+        gio.save_dataset(path, cfg2, dataset_arrays(samples2))
         assert path.read_bytes() == first
         assert cfg2.grammar == cfg.grammar and cfg2.n_classes == cfg.n_classes
         assert len(samples2) == 8
-        assert np.array_equal(samples2[3].sample.y, samples[3].sample.y)
+        assert np.array_equal(samples2[3].sample.y, samples[1][3])
 
     def test_corruption_detected(self, tmp_path):
         cfg = SceneConfig(seed=5)

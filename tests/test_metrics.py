@@ -155,14 +155,14 @@ class TestMiou:
 class TestJointTv:
     def test_grammar_samples_have_small_tv(self):
         cfg = SceneConfig(seed=4)
-        layouts = np.stack([s.sample.y for s in generate(cfg, 2000)])
+        _, layouts, _ = generate(cfg, 2000)
         assert joint_tv(layouts, cfg) < 0.15
 
     def test_point_mass(self):
         cfg = SceneConfig(seed=5)
         from gcdp.scenes import analytic_statistic_distribution
 
-        one = generate(cfg, 1)[0].sample.y
+        one = generate(cfg, 1)[1][0]
         layouts = np.tile(one, (1000, 1))
         key = scene_statistic(one, cfg)
         p = analytic_statistic_distribution(cfg)[key]

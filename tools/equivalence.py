@@ -7,7 +7,10 @@ subprocess that imports gcdp from that directory with BLAS pinned to one
 thread, and compares every output directory by `perfbench.checks.tree_digest`
 (all files except config.txt, which names the output directory). The calls:
 
-  generate-data  a 256-scene 8x8 training set and a 4-scene known set
+  generate-data  a 256-scene 8x8 training set and a 4-scene known set, and
+                 (compared only) a horizon-only set, a blob-only set of 6x9
+                 scenes with K=6, a noiseless set with a custom palette, and
+                 an empty set
   train          40 steps at T in {100, 1000} x p in {1, 3}
   sample         on each checkpoint, stride 100 and 10, unguided and at w=2
   outpaint       on each checkpoint, layout (n=1), image (n=5), and a fixed
@@ -53,6 +56,12 @@ def calls() -> list[tuple[str, list]]:
     out = [
         ("data", ["generate-data", *SCENE, "--count", 256, "--seed", 1]),
         ("known", ["generate-data", *SCENE, "--count", N_KNOWN, "--seed", 2]),
+        ("data_horizon", ["generate-data", *SCENE, "--grammar", "horizon", "--count", 64, "--seed", 6]),
+        ("data_blob_k6_6x9", ["generate-data", "--height", 6, "--width", 9, "--classes", 6,
+                              "--grammar", "horizon+blob", "--count", 64, "--seed", 7]),
+        ("data_sigma0_palette", ["generate-data", *SCENE, "--sigma-data", 0, "--palette=-1,-0.2,0.3,1",
+                                 "--count", 64, "--seed", 8]),
+        ("data_count0", ["generate-data", *SCENE, "--count", 0, "--seed", 9]),
     ]
     for big_t, p in SCHEDULES:
         ck = f"train_T{big_t}_p{p:g}"
