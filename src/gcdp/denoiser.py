@@ -12,7 +12,9 @@ embedding is a fixed sinusoidal code, and dropped or absent conditions
 select a learned null row of the condition table. The trunk is a stack of
 fully connected residual blocks with a softplus nonlinearity (smooth, so
 finite-difference gradient checks are meaningful); two linear heads read
-the final hidden state.
+the final hidden state. The backward pass multiplies by softplus's
+derivative, the logistic sigmoid, which `sigmoid` evaluates in numpy in
+the stable form; the forward pass does not compute it.
 
 All parameters live in one contiguous array whose dtype is the compute
 dtype: float32 for models that `init` builds by default (and for every
@@ -23,17 +25,18 @@ sampler compute in float64 either way.
 
 Forward and backward passes are plain numpy and fully deterministic;
 backward_batch returns exact gradients that the finite-difference oracle
-validates coordinate-wise. The forward pass assembles its input in one
-preallocated array and adds biases and residuals in place, into the
-product it has just formed; addition is commutative in IEEE arithmetic,
-so this gives the bits of the out-of-place sums. No array is written
-after it enters the backward cache.
+validates coordinate-wise. The gradients of the two embedding tables are
+accumulated per column with np.bincount, in float64 and in index order,
+and rounded once to the parameter dtype. The forward pass assembles its
+input in one preallocated array and adds biases and residuals in place,
+into the product it has just formed; addition is commutative in IEEE
+arithmetic, so this gives the bits of the out-of-place sums. No array is
+written after it enters the backward cache.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .distribution import ShapeSpec
 from .errors import ValidationError
@@ -96,6 +99,29 @@ def softplus(x: np.ndarray) -> np.ndarray:
     np.log1p(out, out=out)
     out += np.maximum(x, 0.0)
     return out
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) in x's dtype, in one new array, as e^min(x, 0) over
+    1 + e^-|x|: with e = e^-|x| <= 1, that is 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere, so no exponential overflows and no element
+    takes a branch."""
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
+    return out
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """out[r] = the sum of rows[i] over every i with idx[i] == r, one
+    np.bincount per column: summed in float64 in index order, then rounded
+    once to out's dtype."""
+    for j in range(out.shape[1]):
+        out[:, j] = np.bincount(idx, weights=rows[:, j], minlength=out.shape[0])
 
 
 def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -249,7 +275,7 @@ class ReferenceDenoiser:
             du = dh @ p[f"blk{b}_w2"].T
             np.matmul(u.T, dh, out=g[f"blk{b}_w2"])
             dh.sum(axis=0, out=g[f"blk{b}_b2"])
-            da = du * expit(a)
+            da = du * sigmoid(a)
             np.matmul(h_in.T, da, out=g[f"blk{b}_w1"])
             da.sum(axis=0, out=g[f"blk{b}_b1"])
             dh = dh + da @ p[f"blk{b}_w1"].T
@@ -259,10 +285,8 @@ class ReferenceDenoiser:
         lab_lo = s.n_gauss
         lab_hi = lab_lo + s.n_cat * cfg.label_emb_dim
         de_lab = dh0[:, lab_lo:lab_hi].reshape(batch, s.n_cat, cfg.label_emb_dim)
-        g["label_emb"][...] = 0.0
-        np.add.at(g["label_emb"], (y_t - 1).reshape(-1), de_lab.reshape(-1, cfg.label_emb_dim))
-        g["cond_emb"][...] = 0.0
-        np.add.at(g["cond_emb"], c_idx, dh0[:, lab_hi + cfg.time_emb_dim :])
+        _scatter_rows((y_t - 1).reshape(-1), de_lab.reshape(-1, cfg.label_emb_dim), g["label_emb"])
+        _scatter_rows(c_idx, dh0[:, lab_hi + cfg.time_emb_dim :], g["cond_emb"])
         return grad
 
 

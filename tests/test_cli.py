@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -274,12 +275,50 @@ class TestExitCodes:
                    "--out", str(tmp_path / "eval")) == 2
         assert named in capsys.readouterr().err
 
-    def test_importing_the_cli_leaves_the_oracle_stack_unloaded(self):
-        code = "import sys, gcdp.cli; print([m for m in ('gcdp.verify', 'scipy.integrate') if m in sys.modules])"
+    def test_importing_the_cli_leaves_the_oracle_stack_unloaded(self, tmp_path):
+        """Importing the CLI loads neither gcdp.verify nor any scipy module, and
+        neither does a tiny run of every command but verify, in one process;
+        the training run reaches the t = 1 decoder term."""
+        code = textwrap.dedent(
+            """
+            import sys
+            from pathlib import Path
+
+            import gcdp.cli
+            from gcdp import training
+
+            def loaded():
+                return sorted(m for m in sys.modules if m == "gcdp.verify" or m.partition(".")[0] == "scipy")
+
+            print("@", loaded())
+            out = Path(sys.argv[1])
+            decoder_calls = []
+            cdf = training.normal_cdf
+            training.normal_cdf = lambda x: decoder_calls.append(1) or cdf(x)
+            data, known, ckpt = out / "data" / "dataset.gcds", out / "known" / "dataset.gcds", out / "t" / "model.gcdp"
+            for argv in [
+                ["generate-data", "--out", out / "data", "--count", 64, "--seed", 3],
+                ["generate-data", "--out", out / "known", "--count", 2, "--seed", 4],
+                ["train", "--data", data, "--out", out / "t", "--steps", 4, "--batch", 8, "--T", 4,
+                 "--hidden", 16, "--blocks", 1, "--seed", 3],
+                ["sample", "--ckpt", ckpt, "--out", out / "s", "--count", 1000, "--seed", 4],
+                ["sample", "--ckpt", ckpt, "--out", out / "sw", "--count", 2, "--cond", 1, "--guidance-w", 2],
+                ["outpaint", "--ckpt", ckpt, "--known", known, "--out", out / "o", "--mask-mode", "image",
+                 "--resample-n", 2],
+                ["evaluate", "--samples", out / "s", "--data", data, "--out", out / "e"],
+                ["evaluate", "--samples", out / "o", "--data", data, "--out", out / "eo"],
+            ]:
+                assert gcdp.cli.main([str(a) for a in argv]) == 0, argv
+            assert "tv_distance=nan" not in (out / "e" / "report.txt").read_text()
+            print("@", len(decoder_calls) > 0)
+            print("@", loaded())
+            """
+        )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines() if line.startswith("@")] == ["@ []", "@ True", "@ []"]
 
     def test_verify_fast_passes(self, tmp_path, capsys):
         assert run("verify", "--fast", "--out", str(tmp_path / "v")) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from gcdp.denoiser import (
     DenoiserConfig,
     DenoiserInput,
     ReferenceDenoiser,
+    _scatter_rows,
     forward,
+    sigmoid,
     time_embedding,
 )
 from gcdp.distribution import ShapeSpec
@@ -251,3 +255,54 @@ def test_forward_and_backward_are_bitwise_the_reference(dtype, batch):
     assert np.array_equal(grads, model.backward_batch(ref_cache, dx, dl))
     # a second backward over the same cache sees it unchanged
     assert np.array_equal(grads, model.backward_batch(cache, dx, dl))
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in float32 units in the last place between nonnegative a and b."""
+    return np.abs(a.view(np.int32).astype(np.int64) - b.view(np.int32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_scipy_expit(dtype):
+    from scipy.special import expit
+
+    x = np.linspace(-100.0, 100.0, 400_001).astype(dtype)
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+    want = expit(x)
+    assert got.dtype == want.dtype == dtype
+    if dtype == np.float64:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        return
+    # Below about -88.7 expit's float32 loop flushes to 0, while e^x is
+    # still a subnormal float32.
+    tiny = np.finfo(np.float32).tiny
+    normal = want >= tiny
+    assert np.all(got[~normal] >= 0.0) and np.all(got[~normal] < tiny)
+    # numpy's float32 exp is within 2 ulp of the correctly rounded value, so
+    # the sigmoid is within 3 ulp of it, and expit within 2 the other way.
+    rounded = expit(x.astype(np.float64)).astype(np.float32)
+    assert _ulps(got[normal], rounded[normal]).max() <= 3
+    assert _ulps(got[normal], want[normal]).max() <= 4
+    assert np.array_equal(got[x >= 0], 1.0 / (1.0 + np.exp(-x[x >= 0])))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_scatter_is_add_at_in_float64(dtype):
+    """_scatter_rows gives np.add.at's sums in float64, rounded once: bit for
+    bit np.add.at itself for a float64 model."""
+    rng = np.random.default_rng(11)
+    idx = rng.integers(0, 5, 4096)
+    idx[idx == 3] = 4  # row 3 receives nothing
+    wide = rng.standard_normal((4096, 7)).astype(dtype)
+    rows = wide[:, 2:5]  # a strided view, as the backward pass passes
+    out = np.full((5, 3), np.nan, dtype=dtype)
+    _scatter_rows(idx, rows, out)
+    want = np.zeros((5, 3))
+    np.add.at(want, idx, rows.astype(np.float64))
+    assert np.array_equal(out, want.astype(dtype)) and np.all(out[3] == 0.0)
+    if dtype == np.float64:
+        in_place = np.zeros((5, 3))
+        np.add.at(in_place, idx, rows)
+        assert np.array_equal(out, in_place)

@@ -13,7 +13,7 @@ from gcdp.metrics import (
     semantic_precision,
     semantic_recall,
 )
-from gcdp.scenes import SceneConfig, generate, scene_statistic
+from gcdp.scenes import SceneConfig, analytic_statistic_distribution, generate, scene_statistic
 
 
 def identity_segmenter(image):
@@ -177,6 +177,38 @@ class TestJointTv:
         cfg = SceneConfig(seed=7)
         with pytest.raises(ValidationError):
             joint_tv(np.ones((999, cfg.n_pixels), dtype=int), cfg)
+
+    @staticmethod
+    def row_loop_tv(layouts, cfg):
+        """joint_tv as first written: one scene_statistic call per row."""
+        layouts = np.asarray(layouts, dtype=np.int64)
+        emp, w = {}, 1.0 / layouts.shape[0]
+        for row in layouts:
+            key = scene_statistic(row, cfg)
+            emp[key] = emp.get(key, 0.0) + w
+        ref = analytic_statistic_distribution(cfg)
+        return 0.5 * sum(abs(emp.get(k, 0.0) - ref.get(k, 0.0)) for k in set(emp) | set(ref))
+
+    @pytest.mark.parametrize("cfg", [SceneConfig(seed=8), SceneConfig(height=6, width=9, n_classes=6, seed=9)])
+    def test_generated_layouts_bitwise_the_row_loop(self, cfg):
+        for n in (1000, 2000, 3001):
+            layouts = generate(cfg, n)[1]
+            assert joint_tv(layouts, cfg) == self.row_loop_tv(layouts, cfg)
+
+    def test_arbitrary_class_sets_bitwise_the_row_loop(self):
+        cfg = SceneConfig()
+        rng = np.random.default_rng(10)
+        grammar = generate(cfg, 1500)[1]
+        cases = [
+            rng.integers(1, cfg.n_classes + 1, (1000, cfg.n_pixels)),  # every class set of {1..4}
+            rng.integers(1, 3, (1200, cfg.n_pixels)) * (rng.random((1200, 1)) < 0.5),  # {1, 2} and sets with 0
+            # grammar layouts with a few pixels set to labels outside {1..K}, negative ones included
+            np.where(rng.random(grammar.shape) < 0.02, rng.integers(-3, 9, grammar.shape), grammar),
+            # a few sets, each on many rows: the running sums of 1/n reach far
+            np.repeat(rng.integers(1, cfg.n_classes + 1, (4, cfg.n_pixels)), [997, 1, 3, 999], axis=0),
+        ]
+        for layouts in cases:
+            assert joint_tv(layouts, cfg) == self.row_loop_tv(layouts, cfg)
 
 
 def test_detected_classes():

@@ -13,6 +13,7 @@ from gcdp.training import (
     TrainConfig,
     bound_terms,
     discretized_gauss_loglik,
+    normal_cdf,
     prior_term,
     train,
     vlb_loss,
@@ -256,6 +257,18 @@ class TestDiscretizedGaussian:
         down, _ = discretized_gauss_loglik(x0, mu - h, 0.1)
         fd = (up - down) / (2 * h)
         assert np.max(np.abs(grad - fd)) < 1e-4
+
+    def test_normal_cdf_matches_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-38.0, 8.0, 400_001), [-np.inf, np.inf]])
+        got, want = normal_cdf(x), ndtr(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        # ndtr underflows to 0 below about -37.5 where erfc still gives a
+        # subnormal; everywhere else the two agree to 1e-13 relative
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=np.finfo(np.float64).tiny)
+        assert got[-2] == 0.0 and got[-1] == 1.0
+        assert normal_cdf(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestTrain:

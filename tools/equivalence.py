@@ -19,9 +19,15 @@ thread, and compares every output directory by `perfbench.checks.tree_digest`
                  layout are known
   evaluate       on each sample and outpaint tree, against the training set
 
+Then the change tree runs every sample, outpaint and evaluate call once more
+on the parent tree's inputs (its checkpoints, known set, mask and sample
+trees), and each output is compared with the parent's own. Those rows,
+marked "@parent", show the inference path byte-identical even when a change
+moves the bits of training and so of every checkpoint.
+
 Prints one row per call with both digests and wall times, and exits 0 when
-every digest is equal, 1 otherwise. Outputs go to DIR/{parent,change}/ (a
-temporary directory that is removed afterwards when --work is not given).
+every digest is equal, 1 otherwise. Outputs go to DIR/{parent,change,cross}/
+(a temporary directory that is removed afterwards when --work is not given).
 """
 
 import argparse
@@ -93,14 +99,15 @@ def write_mask(src: Path, work: Path):
     subprocess.run([sys.executable, "-c", MASK_CODE, str(work / "mask" / "mask.gcmk")], env=_env(src), check=True)
 
 
-def run_call(src: Path, work: Path, name: str, argv: list) -> float:
-    """Run `gcdp <argv> --out work/name` importing gcdp from src; seconds."""
+def run_call(src: Path, work: Path, name: str, argv: list, inputs: Path | None = None) -> float:
+    """Run `gcdp <argv> --out work/name` importing gcdp from src, reading
+    {out:NAME} from inputs (default: work); seconds."""
     args = []
     for a in argv:
         a = str(a)
         if a.startswith("{out:"):
             ref, _, rest = a[len("{out:"):].partition("}")
-            a = str(work / ref) + rest
+            a = str((inputs or work) / ref) + rest
         args.append(a)
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -122,15 +129,24 @@ def compare(parent_src: Path, change_src: Path, work: Path) -> bool:
         for name, argv in plan:
             walls[side][name] = run_call(src, work / side, name, argv)
             digests[side][name] = tree_digest(work / side / name)
-    print(f"{'output':36} {'parent':12} {'change':12} {'s parent':>9} {'s change':>9}  equal")
-    same = 0
-    for name, _ in plan:
-        d_p, d_c = digests["parent"][name], digests["change"][name]
-        same += d_p == d_c
-        print(f"{name:36} {d_p[:12]} {d_c[:12]} {walls['parent'][name]:9.2f} {walls['change'][name]:9.2f}  "
+    # (row name, call name, side whose output the row holds against the parent's)
+    rows = [(name, name, "change") for name, _ in plan]
+    digests["cross"], walls["cross"] = {}, {}
+    for name, argv in plan:
+        if argv[0] in ("sample", "outpaint", "evaluate"):
+            walls["cross"][name] = run_call(change_src, work / "cross", name, argv, inputs=work / "parent")
+            digests["cross"][name] = tree_digest(work / "cross" / name)
+            rows.append((f"{name} @parent", name, "cross"))
+    print(f"{'output':44} {'parent':12} {'change':12} {'s parent':>9} {'s change':>9}  equal")
+    same = {"change": 0, "cross": 0}
+    for row, name, side in rows:
+        d_p, d_c = digests["parent"][name], digests[side][name]
+        same[side] += d_p == d_c
+        print(f"{row:44} {d_p[:12]} {d_c[:12]} {walls['parent'][name]:9.2f} {walls[side][name]:9.2f}  "
               f"{'yes' if d_p == d_c else 'NO'}")
-    print(f"{same} of {len(plan)} output trees equal")
-    return same == len(plan)
+    print(f"{same['change']} of {len(plan)} output trees equal; {same['cross']} of {len(rows) - len(plan)} "
+          f"equal when the change reads the parent's inputs (@parent)")
+    return sum(same.values()) == len(rows)
 
 
 def main(argv=None) -> int:
