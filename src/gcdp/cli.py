@@ -235,8 +235,8 @@ def _write_samples(out: Path, images: np.ndarray, layouts: np.ndarray, conds, he
 
 def cmd_sample(cfg: dict) -> int:
     ck = gio.load_checkpoint(_require(cfg, "ckpt"))
-    if cfg["count"] < 1:
-        raise ValidationError("count must be >= 1")
+    if cfg["count"] < 1 or cfg["cond"] < -1:
+        raise ValidationError("count must be >= 1 and cond >= -1 (-1 = unconditional)")
     steps = default_stride(ck.sched.total_steps, cfg["stride"])
     conds = np.full(cfg["count"], cfg["cond"], dtype=np.int64)
     guidance = GuidanceConfig(scale=cfg["guidance_w"], enabled=cfg["cond"] >= 0)
@@ -265,6 +265,8 @@ def _build_mask(mode: str, mask_path: str, n: int, m: int) -> np.ndarray:
 
 def cmd_outpaint(cfg: dict) -> int:
     ck = gio.load_checkpoint(_require(cfg, "ckpt"))
+    if cfg["count"] < 0 or cfg["cond"] < -1:
+        raise ValidationError("count must be >= 0 (0 = all) and cond >= -1 (-1 = each sample's own)")
     _, (known_x, known_y, conds) = gio.load_dataset_arrays(_require(cfg, "known"))
     n_known = known_x.shape[0]
     count = cfg["count"] if cfg["count"] > 0 else n_known
@@ -286,18 +288,16 @@ def cmd_outpaint(cfg: dict) -> int:
     return 0
 
 
-def _load_sample_dir(
-    samples_dir: Path, size: tuple[int, int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_sample_dir(samples_dir: Path, scene: SceneConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(images, layouts, conds) of the manifest's rows; every PGM must have
-    the size of the first, and that size must be (height, width) = size
-    when one is given."""
-    rows = gio.read_manifest(samples_dir / "manifest.txt")
+    the size of the first. Given the dataset's scene, that size must be the
+    scene's, and every condition must lie in -1..scene.n_conds-1."""
+    rows = gio.read_manifest(samples_dir / "manifest.txt", None if scene is None else scene.n_conds)
     paths = [samples_dir / name for _, img_name, lay_name, _ in rows for name in (img_name, lay_name)]
     pgms = [gio.read_pgm(path) for path in paths]
     h, w = pgms[0].shape
-    if size is not None and (h, w) != size:
-        raise ValidationError(f"{paths[0]}: {w}x{h} PGM, but the dataset's scenes are {size[1]}x{size[0]}")
+    if scene is not None and (h, w) != (scene.height, scene.width):
+        raise ValidationError(f"{paths[0]}: {w}x{h} PGM, but the dataset's scenes are {scene.width}x{scene.height}")
     for path, pgm in zip(paths, pgms):
         if pgm.shape != (h, w):
             raise ValidationError(f"{path}: {pgm.shape[1]}x{pgm.shape[0]} PGM, expected {w}x{h} as in {paths[0].name}")
@@ -341,7 +341,7 @@ def evaluate_samples(
 
 def cmd_evaluate(cfg: dict) -> int:
     scene, (_, ref_layouts, _) = gio.load_dataset_arrays(_require(cfg, "data"))
-    images, layouts, conds = _load_sample_dir(Path(_require(cfg, "samples")), (scene.height, scene.width))
+    images, layouts, conds = _load_sample_dir(Path(_require(cfg, "samples")), scene)
     report = evaluate_samples(images, layouts, conds, scene, ref_layouts)
     out = _out_dir(cfg, "evaluate")
     text = gio.report_to_text(report)

@@ -468,9 +468,10 @@ def write_manifest(path, rows: list[tuple[int, str, str, int]]):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_manifest(path) -> list[tuple[int, str, str, int]]:
+def read_manifest(path, n_conds: int | None = None) -> list[tuple[int, str, str, int]]:
     """Rows (index, image file, layout file, condition); at least one, with
-    integer index and condition fields."""
+    integer index and condition fields. Given n_conds, every condition must
+    lie in -1..n_conds-1 (-1 = unconditional)."""
     rows = []
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -479,9 +480,12 @@ def read_manifest(path) -> list[tuple[int, str, str, int]]:
         if len(parts) != 4:
             raise FormatError(f"{path}: manifest line {ln} needs 4 fields", field=f"line {ln}")
         try:
-            rows.append((int(parts[0]), parts[1], parts[2], int(parts[3])))
+            index, cond = int(parts[0]), int(parts[3])
         except ValueError:
             raise FormatError(f"{path}: manifest line {ln} needs an integer index and condition", field=f"line {ln}") from None
+        if n_conds is not None and not -1 <= cond < n_conds:
+            raise FormatError(f"{path}: manifest line {ln} has condition {cond} outside -1..{n_conds - 1}", field=f"line {ln}")
+        rows.append((index, parts[1], parts[2], cond))
     if not rows:
         raise FormatError(f"{path}: manifest lists no samples")
     return rows

@@ -33,10 +33,11 @@ that noise draws: the forward step, the training loss's z_t from
 q_marginal_arrays, and the sampler's initial state, posterior steps,
 known-region marginals and re-noising. The loss takes its bound terms
 from gauss_posterior_coeffs and cat_posterior_theta, with per-item
-timestep arrays; the sampler calls posterior_arrays, or, once per
-visited step of outpainting, posterior_coeffs, q_marginal_arrays and
-forward_kernel. Timesteps are looked up through NoiseSchedule.abar_gauss
-and abar_cat, never by indexing the schedule arrays.
+timestep arrays. The sampler builds posterior_coeffs and forward_kernel
+once per visited step and hands them to posterior_arrays for every
+posterior draw and to q_step_arrays for every re-noise. Timesteps are
+looked up through NoiseSchedule.abar_gauss and abar_cat, never by
+indexing the schedule arrays.
 
 All functions accept leading batch axes on the array arguments; the
 JointSample wrappers are the single-sample surface.
@@ -139,13 +140,12 @@ def draw(
 def q_step_arrays(
     x_prev: np.ndarray,
     y_prev: np.ndarray,
-    t: int,
-    sched: NoiseSchedule,
+    kernel: tuple[float, float, np.ndarray],
     rng: np.random.Generator,
-    n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one forward step to batched arrays, by one draw."""
-    keep, var, table = forward_kernel(t, sched, n_classes)
+    """Apply one forward step to batched arrays, by one draw; kernel is
+    forward_kernel(t, sched, K) of the step."""
+    keep, var, table = kernel
     return draw(keep * x_prev, var, kernel_rows(table, y_prev), rng)
 
 
@@ -216,20 +216,20 @@ def cat_posterior_theta(
 
 
 def posterior_arrays(
-    x0_hat: np.ndarray,
-    theta0_hat: np.ndarray,
+    x0_hat: np.ndarray | None,
+    theta0_hat: np.ndarray | None,
     x_t: np.ndarray,
     y_t: np.ndarray,
-    t: int,
-    s: int,
-    sched: NoiseSchedule,
+    coeffs: tuple[float, float, float, float, float],
     n_classes: int,
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray | None, float, np.ndarray | None]:
     """(mu, var, theta) of the posterior over z_s given z_t and clean-state
-    estimates, for any stride 1 <= s < t <= T."""
-    c0, ct, var, alpha_eff, abar_s = posterior_coeffs(t, s, sched)
-    mu = c0 * x0_hat + ct * x_t
-    theta = cat_posterior_theta(theta0_hat, y_t, alpha_eff, abar_s, n_classes)
+    estimates; coeffs is posterior_coeffs(t, s, sched) of the transition,
+    for any stride 1 <= s < t <= T. A None x0_hat or theta0_hat leaves that
+    modality's law unbuilt: mu or theta comes back None."""
+    c0, ct, var, alpha_eff, abar_s = coeffs
+    mu = None if x0_hat is None else c0 * x0_hat + ct * x_t
+    theta = None if theta0_hat is None else cat_posterior_theta(theta0_hat, y_t, alpha_eff, abar_s, n_classes)
     return mu, var, theta
 
 
@@ -250,7 +250,7 @@ def q_step(
     z_prev: JointSample, t: int, sched: NoiseSchedule, rng: np.random.Generator, n_classes: int
 ) -> JointSample:
     """Sample z_t ~ q(z_t | z_{t-1})."""
-    x_t, y_t = q_step_arrays(z_prev.x, z_prev.y, t, sched, rng, n_classes)
+    x_t, y_t = q_step_arrays(z_prev.x, z_prev.y, forward_kernel(t, sched, n_classes), rng)
     return JointSample(x=x_t, y=y_t)
 
 
@@ -282,14 +282,7 @@ def posterior_params(
         raise ValidationError("theta0_hat must be an M x K matrix")
     n_classes = theta0_hat.shape[1]
     mu, var, theta = posterior_arrays(
-        np.asarray(x0_hat, dtype=np.float64),
-        theta0_hat,
-        z_t.x,
-        z_t.y,
-        t,
-        t - 1,
-        sched,
-        n_classes,
+        np.asarray(x0_hat, dtype=np.float64), theta0_hat, z_t.x, z_t.y, posterior_coeffs(t, t - 1, sched), n_classes
     )
     return FactorizedGCParams(mu=mu, var=np.full_like(mu, var), theta=theta)
 

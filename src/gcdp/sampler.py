@@ -21,20 +21,21 @@ their closed-form marginal at t-1, draw the unknown coordinates from the
 model posterior, splice by mask, and (except on the last inner iteration,
 and never at t = 1) push the spliced state forward one step}. At t = 1
 the known-region draw is the clean sample itself, so known coordinates of
-the output are bit-exact. Sampling and outpainting run one reverse loop;
-outpainting adds the splice and the re-noising, and visits every step
-because the re-noising is the one-step forward kernel. An all-unknown mask
-is plain ancestral sampling.
+the output are bit-exact. Sampling and outpainting run one reverse loop
+with one transition body: plain sampling is the chain with no known
+coordinate, and outpainting adds the splice and the re-noising and visits
+every step, because the re-noising is the one-step forward kernel.
 
-Outpainting builds only what its splice keeps. The posterior's
-coefficients, the known region's law at t-1 and the re-noising kernel
-depend on the visited step alone (Lugmayr et al., RePaint,
-arXiv 2201.09865), so they are built once per step, not once per inner
-iteration. A modality the mask makes wholly known gets no posterior (no
-softmax, no categorical posterior, no label draw), and one with no known
-coordinate gets no known-region law. The generator still gives every draw
-its full noise, in the order process.noise fixes, so every output is the
-one the unpruned chain gives.
+Every posterior draw goes through process.posterior_arrays and every
+re-noise through process.q_step_arrays. Their constants (posterior_coeffs,
+forward_kernel) and the known region's law at t-1 depend on the visited
+step alone (Lugmayr et al., RePaint, arXiv 2201.09865), so they are built
+once per step, not once per inner iteration. Outpainting builds only what
+its splice keeps: a modality the mask makes wholly known gets no posterior
+(no softmax, no categorical posterior, no label draw), and one with no
+known coordinate gets no known-region law. The generator still gives
+every draw its full noise, in the order process.noise fixes, so every
+output is the one the unpruned chain gives.
 """
 
 from dataclasses import dataclass
@@ -46,17 +47,15 @@ from .distribution import JointSample, softmax
 from .distribution import sample_rows  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .errors import NumericalError, ValidationError
 from .process import (
-    cat_posterior_theta,
     draw,
     forward_kernel,
-    kernel_rows,
     noise,
     posterior_arrays,
     posterior_coeffs,
     q_marginal_arrays,
+    q_step_arrays,
     realize,
 )
-from .process import q_step_arrays  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .schedules import NoiseSchedule
 
 
@@ -166,7 +165,7 @@ def _reverse_chain(
     coordinates drawn from their marginal at s (the clean values at the
     end), and all but the last of resample_n iterations re-noise the
     spliced state one step forward, so outpainting must visit every step.
-    Its step constants are built once per visited step, and only the laws
+    The step constants are built once per visited step, and only the laws
     the splice keeps are built at all.
     """
     shape = model.config.shape
@@ -182,33 +181,30 @@ def _reverse_chain(
         law_x = known_x if mask_x.any() else None
         law_y = known_y if mask_y.any() else None
         gen_x, gen_y = not mask_x.all(), not mask_y.all()
+        # the known region at the end: the clean values, labels as a fresh
+        # array of the dtype np.where gives, also when the mask holds everywhere
+        clean = known_x, np.array(known_y, dtype=np.intp)
     desc = steps[::-1]
     for t, s in zip(desc, desc[1:] + [0]):
         inner = resample_n if known is not None and s > 0 else 1
-        if known is not None and s > 0:
-            c0, ct, var, alpha_eff, abar_s = posterior_coeffs(t, s, sched)
-            known_law = q_marginal_arrays(law_x, law_y, s, sched, n_cls)
-            keep, var_fwd, table_fwd = forward_kernel(t, sched, n_cls)
+        if s > 0:
+            coeffs = posterior_coeffs(t, s, sched)
+            known_law = q_marginal_arrays(law_x, law_y, s, sched, n_cls) if known is not None else None
+            kernel = forward_kernel(t, sched, n_cls) if inner > 1 else None
         for it in range(inner):
             x0_hat, logits = _predict(model, x, y, t, conds, guidance)
+            if known is not None:
+                xk, yk = realize(*known_law, *noise(x_shape, y_shape, rng)) if s > 0 else clean
             if s == 0:
                 x_next, y_next = x0_hat, np.argmax(softmax(logits), axis=-1) + 1 if gen_y else None
-                if known is not None:
-                    # the clean values; labels as a fresh array of the dtype
-                    # np.where gives, also when the mask holds everywhere
-                    xk, yk = known_x, np.array(known_y, dtype=np.intp)
-            elif known is None:
-                x_next, y_next = draw(*posterior_arrays(x0_hat, softmax(logits), x, y, t, s, sched, n_cls), rng)
             else:
-                xk, yk = realize(*known_law, *noise(x_shape, y_shape, rng))
-                mu = c0 * x0_hat + ct * x if gen_x else None
-                theta = cat_posterior_theta(softmax(logits), y, alpha_eff, abar_s, n_cls) if gen_y else None
-                x_next, y_next = realize(mu, var, theta, *noise(x_shape, y_shape, rng))
+                theta0_hat = softmax(logits) if gen_y else None
+                post = posterior_arrays(x0_hat if gen_x else None, theta0_hat, x, y, coeffs, n_cls)
+                x_next, y_next = realize(*post, *noise(x_shape, y_shape, rng))
             if known is not None:
                 x_next, y_next = _splice(mask_x, xk, x_next), _splice(mask_y, yk, y_next)
             if it < inner - 1:
-                theta_fwd = kernel_rows(table_fwd, y_next)
-                x, y = realize(keep * x_next, var_fwd, theta_fwd, *noise(x_shape, y_shape, rng))
+                x, y = q_step_arrays(x_next, y_next, kernel, rng)
             else:
                 x, y = x_next, y_next
         if not np.all(np.isfinite(x)):

@@ -253,8 +253,8 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValidationError("steps must be >= 0 and batch_size >= 1")
+        if self.steps < 0 or self.batch_size < 1 or self.log_every < 1:
+            raise ValidationError("steps must be >= 0, and batch_size and log_every >= 1")
         if not (0.0 <= self.cond_dropout <= 1.0):
             raise ValidationError("cond_dropout must lie in [0, 1]")
         if self.loss_mode not in ("vlb", "simple"):

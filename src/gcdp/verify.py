@@ -18,8 +18,10 @@ from .distribution import FactorizedGCParams, JointSample, ShapeSpec, entropy, k
 from .metrics import frechet_gaussians
 from .process import (
     cat_posterior_theta,
+    forward_kernel,
     one_hot,
     posterior_arrays,
+    posterior_coeffs,
     q_marginal_arrays,
     q_step_arrays,
 )
@@ -74,8 +76,9 @@ def check_schedule_properties(seed: int = 0) -> CheckResult:
 def _posterior_errors(sched: NoiseSchedule, t: int, y0, y_t, x0, x_t, n_classes: int) -> np.ndarray:
     """Worst [cat, mu, var] errors of the one-step posterior at step t over
     rows of (y0, y_t, x0, x_t), against enumeration and the completed square."""
+    coeffs = posterior_coeffs(t, t - 1, sched)
     mu, var, theta = posterior_arrays(
-        x0[:, None], one_hot(y0[:, None], n_classes), x_t[:, None], y_t[:, None], t, t - 1, sched, n_classes
+        x0[:, None], one_hot(y0[:, None], n_classes), x_t[:, None], y_t[:, None], coeffs, n_classes
     )
     worst = np.zeros(3)
     for i in range(y0.size):
@@ -150,7 +153,7 @@ def check_marginal_monte_carlo(seed: int = 0, n_chains: int = 100_000) -> CheckR
     x = np.full((n_chains, 1), x0)
     y = np.full((n_chains, 1), y0)
     for t in range(1, total + 1):
-        x, y = q_step_arrays(x, y, t, sched, rng, n_classes)
+        x, y = q_step_arrays(x, y, forward_kernel(t, sched, n_classes), rng)
     mu, var_true, theta = q_marginal_arrays(np.array([x0]), np.array([y0]), total, sched, n_classes)
     mean_err = abs(x.mean() - mu[0])
     mean_bound = 3.0 * np.sqrt(var_true / n_chains)

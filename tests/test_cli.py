@@ -248,6 +248,8 @@ class TestExitCodes:
         [
             ("index", "manifest line 2"),
             ("cond", "manifest line 3"),
+            ("cond_high", "manifest line 3 has condition 3 outside -1..2"),
+            ("cond_low", "manifest line 3 has condition -2 outside -1..2"),
             ("empty", "manifest lists no samples"),
             ("size", "sample_0002_layout.pgm: 4x2 PGM, expected 8x8"),
             ("scene", "sample_0000_image.pgm: 5x5 PGM, but the dataset's scenes are 8x8"),
@@ -265,6 +267,9 @@ class TestExitCodes:
             lines[1] = lines[1].replace("1 ", "one ", 1)
         elif case == "cond":
             lines[2] = lines[2][:-1] + "0.5"
+        elif case in ("cond_high", "cond_low"):
+            # the default grammar's dataset has 3 class sets: conditions -1..2
+            lines[2] = lines[2][:-1] + ("3" if case == "cond_high" else "-2")
         elif case == "empty":
             lines = [""]
         elif case == "size":
@@ -274,6 +279,25 @@ class TestExitCodes:
         assert run("evaluate", "--samples", str(out), "--data", str(pipeline / "data" / "dataset.gcds"),
                    "--out", str(tmp_path / "eval")) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["train", "--data", "{data}", "--steps", "2", "--batch", "4", "--T", "4", "--hidden", "8",
+              "--blocks", "1", "--log-every", "0"], "log_every >= 1"),
+            (["sample", "--ckpt", "{ckpt}", "--count", "2", "--cond", "-5"], "cond >= -1 (-1 = unconditional)"),
+            (["outpaint", "--ckpt", "{ckpt}", "--known", "{data}", "--count", "-3"], "count must be >= 0"),
+            (["outpaint", "--ckpt", "{ckpt}", "--known", "{data}", "--count", "1", "--cond", "-2"],
+             "cond >= -1 (-1 = each sample's own)"),
+        ],
+    )
+    def test_values_below_their_documented_floor_fail_validation(self, pipeline, tmp_path, capsys, argv, named):
+        paths = {"data": pipeline / "data" / "dataset.gcds", "ckpt": pipeline / "train" / "model.gcdp"}
+        argv = [a.format(**paths) for a in argv]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_importing_the_cli_leaves_the_oracle_stack_unloaded(self, tmp_path):
         """Importing the CLI loads neither gcdp.verify nor any scipy module, and

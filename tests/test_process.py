@@ -13,11 +13,13 @@ from gcdp.oracles import (
 from gcdp.process import (
     cat_posterior_theta,
     draw,
+    forward_kernel,
     gauss_posterior_coeffs,
     kernel_rows,
     kernel_table,
     one_hot,
     posterior_arrays,
+    posterior_coeffs,
     posterior_params,
     q_marginal_arrays,
     q_marginal_params,
@@ -97,7 +99,7 @@ class TestQStep:
         sched = NoiseSchedule(beta_gauss=beta, beta_cat=beta, check_terminal=False)
         n = 100_000
         rng = np.random.default_rng(1)
-        _, y_t = q_step_arrays(np.zeros((n, 1)), np.ones((n, 1), dtype=int), 1, sched, rng, 2)
+        _, y_t = q_step_arrays(np.zeros((n, 1)), np.ones((n, 1), dtype=int), forward_kernel(1, sched, 2), rng)
         p_hat = (y_t == 1).mean()
         assert abs(p_hat - 0.75) < 3 * np.sqrt(0.75 * 0.25 / n)
 
@@ -166,7 +168,7 @@ class TestMarginal:
         x = np.full((n, 1), x0)
         y = np.full((n, 1), y0)
         for t in range(1, 6):
-            x, y = q_step_arrays(x, y, t, sched, rng, k)
+            x, y = q_step_arrays(x, y, forward_kernel(t, sched, k), rng)
         abar = sched.abar_gauss(5)
         mean_true, var_true = np.sqrt(abar) * x0, 1 - abar
         assert abs(x.mean() - mean_true) < 3 * np.sqrt(var_true / n)
@@ -223,7 +225,8 @@ class TestPosterior:
         worst = 0.0
         for t in range(2, sched.total_steps + 1):
             x = np.zeros((k * k, 1))
-            _, _, theta = posterior_arrays(x, one_hot(y0[:, None], k), x, y_t[:, None], t, t - 1, sched, k)
+            coeffs = posterior_coeffs(t, t - 1, sched)
+            _, _, theta = posterior_arrays(x, one_hot(y0[:, None], k), x, y_t[:, None], coeffs, k)
             for i in range(k * k):
                 ref = brute_cat_posterior(
                     int(y_t[i]), int(y0[i]), float(sched.alpha_cat[t - 1]), sched.abar_cat(t - 1), k
@@ -279,12 +282,26 @@ class TestStride:
         x_t = rng.standard_normal(2)
         y_t = rng.integers(1, 4, 2)
         z_t = JointSample(x=x_t, y=y_t)
-        mu, var, theta = posterior_arrays(x0, th0, x_t, y_t, 4, 3, sched, 3)
+        mu, var, theta = posterior_arrays(x0, th0, x_t, y_t, posterior_coeffs(4, 3, sched), 3)
         one = posterior_params(x0, th0, z_t, 4, sched)
         assert np.array_equal(mu, one.mu)
         # the params type renormalizes rows on construction (one-ulp drift)
         assert np.allclose(theta, one.theta, atol=1e-15)
         assert np.allclose(var, one.var[0])
+
+    def test_none_prediction_leaves_that_law_unbuilt(self):
+        rng = np.random.default_rng(12)
+        sched = random_schedule(rng, 6)
+        x0, x_t = rng.standard_normal((2, 3, 2))
+        th0 = rng.dirichlet(np.ones(3), size=(3, 4))
+        y_t = rng.integers(1, 4, (3, 4))
+        coeffs = posterior_coeffs(5, 2, sched)
+        mu, var, theta = posterior_arrays(x0, th0, x_t, y_t, coeffs, 3)
+        assert posterior_arrays(None, None, x_t, y_t, coeffs, 3) == (None, var, None)
+        mu_only, var_x, no_theta = posterior_arrays(x0, None, x_t, y_t, coeffs, 3)
+        no_mu, var_y, theta_only = posterior_arrays(None, th0, x_t, y_t, coeffs, 3)
+        assert no_theta is None and no_mu is None and var_x == var_y == var
+        assert mu_only.tobytes() == mu.tobytes() and theta_only.tobytes() == theta.tobytes()
 
     def test_categorical_stride_composes_skipped_steps(self):
         rng = np.random.default_rng(9)
@@ -325,12 +342,9 @@ class TestStride:
     def test_invalid_stride_targets(self):
         rng = np.random.default_rng(11)
         sched = random_schedule(rng, 5)
-        x0 = np.zeros(1)
-        th0 = one_hot(np.array([1]), 2)
-        with pytest.raises(ValidationError):
-            posterior_arrays(x0, th0, x0, np.array([1]), 3, 3, sched, 2)
-        with pytest.raises(ValidationError):
-            posterior_arrays(x0, th0, x0, np.array([1]), 3, 0, sched, 2)
+        for t, s in [(3, 3), (3, 0), (3, 4), (6, 2)]:
+            with pytest.raises(ValidationError):
+                posterior_coeffs(t, s, sched)
 
 
 class TestKernelRows:
@@ -353,7 +367,7 @@ class TestKernelRows:
         calls = (
             lambda: kernel_rows(kernel_table(0.5, 3), y),
             lambda: kernel_rows(kernel_table(np.full((2, 1, 1), 0.5), 3), y),
-            lambda: q_step_arrays(x, y, 2, sched, np.random.default_rng(0), 3),
+            lambda: q_step_arrays(x, y, forward_kernel(2, sched, 3), np.random.default_rng(0)),
             lambda: q_marginal_arrays(x, y, 2, sched, 3),
             lambda: q_marginal_arrays(x, y, np.array([2, 3]), sched, 3),
             lambda: cat_posterior_theta(theta0, y, 0.5, 0.5, 3),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcdp import sampler
+from gcdp import process, sampler
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
 from gcdp.distribution import JointSample, ShapeSpec, row_sum, sample_rows, softmax
 from gcdp.errors import NumericalError, ValidationError
@@ -336,16 +336,31 @@ def _reference_outpaint(model, sched, known_x, known_y, mask, resample_n, conds,
     return x, y
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Replace module.name, for the test, by a wrapper that counts its calls
+    in calls[name]."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _masks(s):
+    """The layout (image known), image (layout known) and a fixed partial mask."""
+    n, m = s.n_gauss, s.n_cat
+    partial = np.zeros(n + m, bool)
+    partial[[0, 2, 3, n + 1, n + 4, n + 5]] = True
+    return {
+        "layout": np.concatenate([np.ones(n, bool), np.zeros(m, bool)]),
+        "image": np.concatenate([np.zeros(n, bool), np.ones(m, bool)]),
+        "partial": partial,
+    }
+
+
 class TestOutpaintMatchesTheWholeLawLoop:
-    def _masks(self, s):
-        n, m = s.n_gauss, s.n_cat
-        partial = np.zeros(n + m, bool)
-        partial[[0, 2, 3, n + 1, n + 4, n + 5]] = True
-        return {
-            "layout": np.concatenate([np.ones(n, bool), np.zeros(m, bool)]),
-            "image": np.concatenate([np.zeros(n, bool), np.ones(m, bool)]),
-            "partial": partial,
-        }
 
     @pytest.mark.parametrize("mode", ["layout", "image", "partial"])
     @pytest.mark.parametrize("resample_n", [1, 3])
@@ -357,7 +372,7 @@ class TestOutpaintMatchesTheWholeLawLoop:
         kx = data.uniform(-1, 1, (4, s.n_gauss))
         ky = data.integers(1, s.n_classes + 1, (4, s.n_cat))
         conds = np.array([0, 1, 1, 0])
-        mask = self._masks(s)[mode]
+        mask = _masks(s)[mode]
         guidance = GuidanceConfig(scale=w, enabled=True)
         rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
         x, y = outpaint_batch(model, sched, kx, ky, mask, resample_n, conds, guidance, rng)
@@ -370,19 +385,10 @@ class TestOutpaintMatchesTheWholeLawLoop:
         model, sched = setup
         s = model.config.shape
         calls = {"softmax": 0, "cat_posterior_theta": 0}
-
-        def counting(name):
-            fn = getattr(sampler, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(sampler, name, counting(name))
-        masks = self._masks(s)
+        # the sampler takes the PMF; process.posterior_arrays builds its posterior
+        _count_calls(monkeypatch, calls, sampler, "softmax")
+        _count_calls(monkeypatch, calls, process, "cat_posterior_theta")
+        masks = _masks(s)
         kx, ky = np.zeros((2, s.n_gauss)), np.ones((2, s.n_cat), dtype=np.int64)
         conds = np.zeros(2, dtype=np.int64)
         outpaint_batch(model, sched, kx, ky, masks["image"], 3, conds, GuidanceConfig(), np.random.default_rng(0))
@@ -390,3 +396,38 @@ class TestOutpaintMatchesTheWholeLawLoop:
         outpaint_batch(model, sched, kx, ky, masks["layout"], 1, conds, GuidanceConfig(), np.random.default_rng(0))
         # one label posterior per transition, and the decoder mode at t = 1
         assert calls == {"softmax": sched.total_steps, "cat_posterior_theta": sched.total_steps - 1}
+
+
+class TestOneTransitionBody:
+    """Every posterior draw goes through process.posterior_arrays and every
+    re-noise through process.q_step_arrays, as the sampler looks them up."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"posterior_arrays": 0, "q_step_arrays": 0}
+        for name in calls:
+            _count_calls(monkeypatch, calls, sampler, name)
+        return calls
+
+    def test_strided_sampling_makes_one_posterior_per_transition_and_no_renoise(self, setup, counts):
+        model, sched = setup
+        steps = [1, 4, 5, 9, sched.total_steps]
+        sample_batch(model, sched, np.array([0, -1, 1]), GuidanceConfig(), steps, np.random.default_rng(3))
+        assert counts == {"posterior_arrays": len(steps) - 1, "q_step_arrays": 0}
+
+    @pytest.mark.parametrize("mode", ["layout", "image", "partial"])
+    def test_outpainting_makes_n_posteriors_and_n_minus_1_renoises_per_transition(self, setup, counts, mode):
+        model, sched = setup
+        s = model.config.shape
+        data = np.random.default_rng(22)
+        kx = data.uniform(-1, 1, (3, s.n_gauss))
+        ky = data.integers(1, s.n_classes + 1, (3, s.n_cat))
+        conds = np.array([1, 0, 1])
+        mask = _masks(s)[mode]
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        x, y = outpaint_batch(model, sched, kx, ky, mask, 3, conds, GuidanceConfig(), rng)
+        transitions = sched.total_steps - 1
+        assert counts == {"posterior_arrays": 3 * transitions, "q_step_arrays": 2 * transitions}
+        x_ref, y_ref = _reference_outpaint(model, sched, kx, ky, mask, 3, conds, GuidanceConfig(), ref_rng)
+        assert x.tobytes() == x_ref.tobytes() and np.array_equal(y, y_ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -13,10 +13,11 @@ thread, and compares every output directory by `perfbench.checks.tree_digest`
                  an empty set
   train          40 steps at T in {100, 1000} x p in {1, 3}
   sample         on each checkpoint, stride 100 and 10, unguided and at w=2
-  outpaint       on each checkpoint, layout (n=1), image (n=5), and a fixed
-                 partial mask (n=3) that the tool writes with each tree's own
-                 gcdp.io: the left half of the image and the top half of the
-                 layout are known
+  outpaint       on each checkpoint, layout (n=1), image (n=5), and three
+                 mask files that the tool writes with each tree's own gcdp.io:
+                 a fixed partial mask (n=3) that knows the left half of the
+                 image and the top half of the layout, an all-zero mask (n=3,
+                 plain sampling) and an all-one mask (n=1, the known set)
   evaluate       on each sample and outpaint tree, against the training set
 
 Then the change tree runs every sample, outpaint and evaluate call once more
@@ -52,7 +53,9 @@ N_KNOWN = 4
 MASK_CODE = (
     "import sys, numpy as np; from gcdp import io; "
     "col, row = np.tile(np.arange(8), 8), np.repeat(np.arange(8), 8); "
-    "io.save_mask(sys.argv[1], np.concatenate([col < 4, row < 4]))"
+    "io.save_mask(sys.argv[1] + '/partial.gcmk', np.concatenate([col < 4, row < 4])); "
+    "io.save_mask(sys.argv[1] + '/zeros.gcmk', np.zeros(128, bool)); "
+    "io.save_mask(sys.argv[1] + '/ones.gcmk', np.ones(128, bool))"
 )
 
 
@@ -81,8 +84,9 @@ def calls() -> list[tuple[str, list]]:
                 "--seed", 5]
         out.append((f"{ck}_outpaint_layout", [*base, "--mask-mode", "layout", "--resample-n", 1]))
         out.append((f"{ck}_outpaint_image", [*base, "--mask-mode", "image", "--resample-n", 5]))
-        out.append((f"{ck}_outpaint_partial",
-                    [*base, "--mask-mode", "file", "--mask", "{out:mask}/mask.gcmk", "--resample-n", 3]))
+        for mask, n in (("partial", 3), ("zeros", 3), ("ones", 1)):
+            out.append((f"{ck}_outpaint_{mask}",
+                        [*base, "--mask-mode", "file", "--mask", f"{{out:mask}}/{mask}.gcmk", "--resample-n", n]))
     samples = [name for name, argv in out if argv[0] in ("sample", "outpaint")]
     out += [(f"{name}_eval", ["evaluate", "--samples", f"{{out:{name}}}", "--data", "{out:data}/dataset.gcds"])
             for name in samples]
@@ -94,9 +98,10 @@ def _env(src: Path) -> dict:
 
 
 def write_mask(src: Path, work: Path):
-    """Write the partial mask to work/mask/mask.gcmk with src's gcdp.io."""
+    """Write the partial, all-zero and all-one masks to
+    work/mask/{partial,zeros,ones}.gcmk with src's gcdp.io."""
     (work / "mask").mkdir(parents=True, exist_ok=True)
-    subprocess.run([sys.executable, "-c", MASK_CODE, str(work / "mask" / "mask.gcmk")], env=_env(src), check=True)
+    subprocess.run([sys.executable, "-c", MASK_CODE, str(work / "mask")], env=_env(src), check=True)
 
 
 def run_call(src: Path, work: Path, name: str, argv: list, inputs: Path | None = None) -> float:
