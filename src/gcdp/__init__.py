@@ -1,13 +1,14 @@
 """Joint image-layout generation with a coupled Gaussian/categorical
 diffusion process: schedules, the factorized joint distribution, forward
-and posterior kernels, VLB training of a reference denoiser, ancestral,
-strided, guided, and outpainting samplers, toy scene data, and
-layout-aware evaluation metrics."""
+and posterior kernels, VLB training of a reference denoiser, a batched
+reverse-chain sampler (strided, guided and outpainting), toy scene data,
+and layout-aware evaluation metrics. The process, denoiser and sampler
+work on arrays with a leading batch axis; one sample is a batch of one."""
 
 from .distribution import FactorizedGCParams, JointSample, ShapeSpec
-from .denoiser import DenoiserConfig, DenoiserInput, DenoiserOutput, ReferenceDenoiser
-from .process import PosteriorParams, posterior_params, q_marginal_params, q_step
-from .sampler import GuidanceConfig, OutpaintSpec, ancestral_sample, outpaint, strided_sample
+from .denoiser import DenoiserConfig, ReferenceDenoiser
+from .process import draw, forward_kernel, posterior_arrays, posterior_coeffs, q_marginal_arrays, q_step_arrays
+from .sampler import GuidanceConfig, default_stride, outpaint_batch, sample_batch
 from .scenes import SceneConfig, SceneSample, generate, oracle_segment
 from .schedules import NoiseSchedule, accumulate, cosine_schedule, power_coupled
 from .training import TrainConfig, train, vlb_loss
@@ -17,18 +18,17 @@ __all__ = [
     "JointSample",
     "ShapeSpec",
     "DenoiserConfig",
-    "DenoiserInput",
-    "DenoiserOutput",
     "ReferenceDenoiser",
-    "PosteriorParams",
-    "posterior_params",
-    "q_marginal_params",
-    "q_step",
+    "draw",
+    "forward_kernel",
+    "posterior_arrays",
+    "posterior_coeffs",
+    "q_marginal_arrays",
+    "q_step_arrays",
     "GuidanceConfig",
-    "OutpaintSpec",
-    "ancestral_sample",
-    "outpaint",
-    "strided_sample",
+    "default_stride",
+    "outpaint_batch",
+    "sample_batch",
     "SceneConfig",
     "SceneSample",
     "generate",

@@ -267,13 +267,18 @@ def cmd_outpaint(cfg: dict) -> int:
     ck = gio.load_checkpoint(_require(cfg, "ckpt"))
     if cfg["count"] < 0 or cfg["cond"] < -1:
         raise ValidationError("count must be >= 0 (0 = all) and cond >= -1 (-1 = each sample's own)")
-    _, (known_x, known_y, conds) = gio.load_dataset_arrays(_require(cfg, "known"))
+    scene, (known_x, known_y, conds) = gio.load_dataset_arrays(_require(cfg, "known"))
+    shape = ck.model.config.shape
+    if (scene.height, scene.width, scene.n_classes) != (ck.height, ck.width, shape.n_classes):
+        raise ValidationError(
+            f"the known set's scenes are {scene.width}x{scene.height} with K={scene.n_classes}, "
+            f"but the checkpoint's are {ck.width}x{ck.height} with K={shape.n_classes}"
+        )
     n_known = known_x.shape[0]
     count = cfg["count"] if cfg["count"] > 0 else n_known
     if count > n_known:
         raise ValidationError(f"requested {count} samples but the known file holds {n_known}")
     known_x, known_y, conds = known_x[:count], known_y[:count], conds[:count]
-    shape = ck.model.config.shape
     mask = _build_mask(cfg["mask_mode"], cfg["mask"], shape.n_gauss, shape.n_cat)
     if cfg["cond"] >= 0:
         conds = np.full(count, cfg["cond"], dtype=np.int64)

@@ -67,27 +67,6 @@ class DenoiserConfig:
         return s.n_gauss + s.n_cat * self.label_emb_dim + self.time_emb_dim + self.cond_emb_dim
 
 
-@dataclass(frozen=True)
-class DenoiserInput:
-    x_t: np.ndarray
-    y_t: np.ndarray
-    t: int
-    cond: int | None
-    cond_dropped: bool = False
-
-    def __post_init__(self):
-        if self.cond is None and not self.cond_dropped:
-            raise ValidationError("cond must be present unless cond_dropped")
-        if self.t < 1:
-            raise ValidationError("timestep must be >= 1")
-
-
-@dataclass(frozen=True)
-class DenoiserOutput:
-    x0_hat: np.ndarray
-    theta0_logits: np.ndarray
-
-
 PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -289,11 +268,3 @@ class ReferenceDenoiser:
         _scatter_rows(c_idx, dh0[:, lab_hi + cfg.time_emb_dim :], g["cond_emb"])
         return grad
 
-
-def forward(model: ReferenceDenoiser, inp: DenoiserInput) -> DenoiserOutput:
-    """Single-sample forward pass over the public input/output contract."""
-    cond = -1 if (inp.cond_dropped or inp.cond is None) else int(inp.cond)
-    x0_hat, logits, _ = model.forward_batch(
-        inp.x_t[None, :], inp.y_t[None, :], np.array([inp.t]), np.array([cond])
-    )
-    return DenoiserOutput(x0_hat=x0_hat[0], theta0_logits=logits[0])

@@ -39,21 +39,18 @@ posterior draw and to q_step_arrays for every re-noise. Timesteps are
 looked up through NoiseSchedule.abar_gauss and abar_cat, never by
 indexing the schedule arrays.
 
-All functions accept leading batch axes on the array arguments; the
-JointSample wrappers are the single-sample surface.
+The array arguments may carry leading batch axes. There is no separate
+single-sample surface: one sample is a batch of one.
 """
 
 import numpy as np
 
-from .distribution import FactorizedGCParams, JointSample, row_sum, sample_rows
+from .distribution import row_sum, sample_rows
 from .errors import ValidationError
 from .schedules import NoiseSchedule
 
 DENOM_FLOOR = 1e-12
 NORM_FLOOR = np.finfo(np.float64).tiny
-
-# The posterior of a factorized joint is itself factorized; no extra fields.
-PosteriorParams = FactorizedGCParams
 
 
 def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -244,45 +241,4 @@ def posterior_coeffs(t: int, s: int, sched: NoiseSchedule) -> tuple[float, float
     c0, ct, var = gauss_posterior_coeffs(t, s, sched)
     abar_s = sched.abar_cat(s)
     return c0, ct, var, sched.abar_cat(t) / abar_s, abar_s
-
-
-def q_step(
-    z_prev: JointSample, t: int, sched: NoiseSchedule, rng: np.random.Generator, n_classes: int
-) -> JointSample:
-    """Sample z_t ~ q(z_t | z_{t-1})."""
-    x_t, y_t = q_step_arrays(z_prev.x, z_prev.y, forward_kernel(t, sched, n_classes), rng)
-    return JointSample(x=x_t, y=y_t)
-
-
-def q_marginal_params(
-    z0: JointSample, t: int, sched: NoiseSchedule, n_classes: int
-) -> FactorizedGCParams:
-    """Parameters of q(z_t | z_0)."""
-    mu, var, theta = q_marginal_arrays(z0.x, z0.y, t, sched, n_classes)
-    return FactorizedGCParams(mu=mu, var=np.full_like(mu, var), theta=theta)
-
-
-def posterior_params(
-    x0_hat: np.ndarray,
-    theta0_hat: np.ndarray,
-    z_t: JointSample,
-    t: int,
-    sched: NoiseSchedule,
-) -> PosteriorParams:
-    """Parameters of the one-step posterior over z_{t-1} given z_t.
-
-    Requires t >= 2; the t = 1 emission is the decoder's job. theta0_hat
-    rows may be one-hot (exact clean labels) or a predicted PMF.
-    """
-    t = int(t)
-    if t < 2:
-        raise ValidationError("posterior_params requires t >= 2")
-    theta0_hat = np.asarray(theta0_hat, dtype=np.float64)
-    if theta0_hat.ndim != 2:
-        raise ValidationError("theta0_hat must be an M x K matrix")
-    n_classes = theta0_hat.shape[1]
-    mu, var, theta = posterior_arrays(
-        np.asarray(x0_hat, dtype=np.float64), theta0_hat, z_t.x, z_t.y, posterior_coeffs(t, t - 1, sched), n_classes
-    )
-    return FactorizedGCParams(mu=mu, var=np.full_like(mu, var), theta=theta)
 

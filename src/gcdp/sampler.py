@@ -1,4 +1,11 @@
-"""Reverse-process generation.
+"""Reverse-process generation, on batches.
+
+sample_batch draws B joint samples along an ascending timestep subset:
+default_stride gives an evenly spaced one, and every step 1..T is the
+ancestral chain. outpaint_batch fills the unknown coordinates of B known
+samples that share one mask. Both take a (B,) vector of condition IDs, -1
+for unconditional, and return (B, N) images and (B, M) labels; one sample
+is a batch of one.
 
 Sampling starts from pure noise (standard normal image, uniform labels)
 and walks a descending subset of timesteps. At each visited step the
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import ReferenceDenoiser
-from .distribution import JointSample, softmax
+from .distribution import softmax
 from .distribution import sample_rows  # noqa: F401 (uncalled; a perfbench/tracing.py target)
 from .errors import NumericalError, ValidationError
 from .process import (
@@ -67,25 +74,6 @@ class GuidanceConfig:
     def __post_init__(self):
         if not np.isfinite(self.scale) or self.scale < 0.0:
             raise ValidationError("guidance scale must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class OutpaintSpec:
-    """Known joint sample, a known-coordinate mask over the N image entries
-    followed by the M label positions, and the inner resampling count."""
-
-    known: JointSample
-    mask: np.ndarray
-    resample_n: int = 1
-
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != (self.known.x.shape[0] + self.known.y.shape[0],):
-            raise ValidationError("mask length must be N + M")
-        if self.resample_n < 1:
-            raise ValidationError("resample_n must be >= 1")
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
 
 
 def _predict(
@@ -230,31 +218,6 @@ def sample_batch(
     return _reverse_chain(model, sched, np.asarray(conds, dtype=np.int64), guidance, steps, rng)
 
 
-def strided_sample(
-    model: ReferenceDenoiser,
-    sched: NoiseSchedule,
-    cond: int | None,
-    guidance: GuidanceConfig,
-    steps,
-    rng: np.random.Generator,
-) -> JointSample:
-    """Single-sample accelerated sampling over an ascending timestep subset."""
-    conds = np.array([-1 if cond is None else int(cond)])
-    x, y = sample_batch(model, sched, conds, guidance, steps, rng)
-    return JointSample(x=x[0], y=y[0])
-
-
-def ancestral_sample(
-    model: ReferenceDenoiser,
-    sched: NoiseSchedule,
-    cond: int | None,
-    guidance: GuidanceConfig,
-    rng: np.random.Generator,
-) -> JointSample:
-    """Full reverse chain; identical to strided sampling with every step."""
-    return strided_sample(model, sched, cond, guidance, range(1, sched.total_steps + 1), rng)
-
-
 def outpaint_batch(
     model: ReferenceDenoiser,
     sched: NoiseSchedule,
@@ -266,40 +229,32 @@ def outpaint_batch(
     guidance: GuidanceConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Resampled outpainting of a batch sharing one known-coordinate mask."""
+    """Resampled outpainting of B known samples, known_x (B, N) and known_y
+    (B, M) with 1-based labels, that share one known-coordinate mask; conds
+    holds one condition ID per sample, -1 for unconditional. Known
+    coordinates of the result equal the known samples bit for bit."""
     shape = model.config.shape
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (shape.n_gauss + shape.n_cat,):
         raise ValidationError("mask length must be N + M")
     if resample_n < 1:
         raise ValidationError("resample_n must be >= 1")
+    known_x, known_y = np.asarray(known_x), np.asarray(known_y)
+    conds = np.asarray(conds, dtype=np.int64)
+    if known_x.ndim != 2 or known_x.shape[1] != shape.n_gauss:
+        raise ValidationError(f"known_x must be (B, N) with N = {shape.n_gauss}, got shape {known_x.shape}")
+    batch = known_x.shape[0]
+    if known_y.shape != (batch, shape.n_cat):
+        raise ValidationError(f"known_y must be (B, M) = {(batch, shape.n_cat)}, got shape {known_y.shape}")
+    if conds.shape != (batch,):
+        raise ValidationError(f"conds must be (B,) = {(batch,)}, got shape {conds.shape}")
+    if not np.all(np.isfinite(known_x)):
+        raise ValidationError("known pixels must be finite")
+    if known_y.size and (known_y.min() < 1 or known_y.max() > shape.n_classes):
+        raise ValidationError("known labels must lie in {1..K}")
     if mask.all():
         return known_x.copy(), known_y.copy()
     known = (known_x, known_y, mask) if mask.any() else None
     steps = list(range(1, sched.total_steps + 1))
-    return _reverse_chain(model, sched, np.asarray(conds, dtype=np.int64), guidance, steps, rng, known, resample_n)
+    return _reverse_chain(model, sched, conds, guidance, steps, rng, known, resample_n)
 
-
-def outpaint(
-    model: ReferenceDenoiser,
-    sched: NoiseSchedule,
-    spec: OutpaintSpec,
-    cond: int | None,
-    guidance: GuidanceConfig,
-    rng: np.random.Generator,
-) -> JointSample:
-    """Fill the unknown coordinates of spec.known; known coordinates of the
-    result equal spec.known bit-exactly."""
-    conds = np.array([-1 if cond is None else int(cond)])
-    x, y = outpaint_batch(
-        model,
-        sched,
-        spec.known.x[None, :],
-        spec.known.y[None, :],
-        spec.mask,
-        spec.resample_n,
-        conds,
-        guidance,
-        rng,
-    )
-    return JointSample(x=x[0], y=y[0])

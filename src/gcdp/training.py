@@ -257,6 +257,10 @@ class TrainConfig:
             raise ValidationError("steps must be >= 0, and batch_size and log_every >= 1")
         if not (0.0 <= self.cond_dropout <= 1.0):
             raise ValidationError("cond_dropout must lie in [0, 1]")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValidationError("lr must be finite and > 0")
+        if not (np.isfinite(self.lambda_cat) and self.lambda_cat >= 0.0):
+            raise ValidationError("lambda_cat must be finite and >= 0")
         if self.loss_mode not in ("vlb", "simple"):
             raise ValidationError(f"unknown loss mode {self.loss_mode!r}")
 

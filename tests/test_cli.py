@@ -285,6 +285,14 @@ class TestExitCodes:
         [
             (["train", "--data", "{data}", "--steps", "2", "--batch", "4", "--T", "4", "--hidden", "8",
               "--blocks", "1", "--log-every", "0"], "log_every >= 1"),
+            (["train", "--data", "{data}", "--steps", "2", "--batch", "4", "--T", "4", "--hidden", "8",
+              "--blocks", "1", "--lr", "-1"], "lr must be finite and > 0"),
+            (["train", "--data", "{data}", "--steps", "2", "--batch", "4", "--T", "4", "--hidden", "8",
+              "--blocks", "1", "--lr", "inf"], "lr must be finite and > 0"),
+            (["train", "--data", "{data}", "--steps", "2", "--batch", "4", "--T", "4", "--hidden", "8",
+              "--blocks", "1", "--lambda-cat", "-1"], "lambda_cat must be finite and >= 0"),
+            (["train", "--data", "{data}", "--steps", "2", "--batch", "4", "--T", "4", "--hidden", "8",
+              "--blocks", "1", "--lambda-cat", "nan"], "lambda_cat must be finite and >= 0"),
             (["sample", "--ckpt", "{ckpt}", "--count", "2", "--cond", "-5"], "cond >= -1 (-1 = unconditional)"),
             (["outpaint", "--ckpt", "{ckpt}", "--known", "{data}", "--count", "-3"], "count must be >= 0"),
             (["outpaint", "--ckpt", "{ckpt}", "--known", "{data}", "--count", "1", "--cond", "-2"],
@@ -296,6 +304,25 @@ class TestExitCodes:
         argv = [a.format(**paths) for a in argv]
         capsys.readouterr()
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scene, named",
+        [
+            (["--height", "6", "--width", "9"], "scenes are 9x6 with K=4, but the checkpoint's are 8x8 with K=4"),
+            (["--classes", "3"], "scenes are 8x8 with K=3, but the checkpoint's are 8x8 with K=4"),
+        ],
+    )
+    @pytest.mark.parametrize("mask_mode", ["layout", "image"])
+    def test_outpaint_known_scene_must_match_the_checkpoint(self, pipeline, tmp_path, capsys, scene, named, mask_mode):
+        known = tmp_path / "known"
+        assert run("generate-data", "--out", str(known), "--count", "4", "--seed", "6", *scene) == 0
+        capsys.readouterr()
+        assert run(
+            "outpaint", "--ckpt", str(pipeline / "train" / "model.gcdp"), "--known", str(known / "dataset.gcds"),
+            "--out", str(tmp_path / "out"), "--mask-mode", mask_mode,
+        ) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -5,10 +5,8 @@ import pytest
 
 from gcdp.denoiser import (
     DenoiserConfig,
-    DenoiserInput,
     ReferenceDenoiser,
     _scatter_rows,
-    forward,
     sigmoid,
     time_embedding,
 )
@@ -17,43 +15,40 @@ from gcdp.errors import ValidationError
 from gcdp.oracles import finite_diff_grads, max_rel_error
 
 
-def make_input(model, rng, cond=0, dropped=False, t=3):
+def make_input(model, rng, cond=0, t=3):
+    """A batch of one: (x_t (1, N), y_t (1, M), t (1,), cond (1,))."""
     s = model.config.shape
-    return DenoiserInput(
-        x_t=rng.standard_normal(s.n_gauss),
-        y_t=rng.integers(1, s.n_classes + 1, s.n_cat),
-        t=t,
-        cond=cond,
-        cond_dropped=dropped,
-    )
+    x_t = rng.standard_normal(s.n_gauss)[None, :]
+    y_t = rng.integers(1, s.n_classes + 1, s.n_cat)[None, :]
+    return x_t, y_t, np.array([t]), np.array([cond])
 
 
 class TestForward:
     def test_deterministic(self, tiny_model):
         inp = make_input(tiny_model, np.random.default_rng(0))
-        a, b = forward(tiny_model, inp), forward(tiny_model, inp)
-        assert np.array_equal(a.x0_hat, b.x0_hat)
-        assert np.array_equal(a.theta0_logits, b.theta0_logits)
+        (ax, al, _), (bx, bl, _) = tiny_model.forward_batch(*inp), tiny_model.forward_batch(*inp)
+        assert np.array_equal(ax, bx)
+        assert np.array_equal(al, bl)
 
     def test_cond_dropout_changes_output(self, tiny_model):
         rng = np.random.default_rng(1)
-        inp = make_input(tiny_model, rng, cond=0, dropped=False)
-        dropped = DenoiserInput(x_t=inp.x_t, y_t=inp.y_t, t=inp.t, cond=0, cond_dropped=True)
-        a, b = forward(tiny_model, inp), forward(tiny_model, dropped)
-        assert not np.array_equal(a.x0_hat, b.x0_hat)
+        x_t, y_t, t, cond = make_input(tiny_model, rng, cond=0)
+        dropped = np.array([-1])
+        a, b = tiny_model.forward_batch(x_t, y_t, t, cond)[0], tiny_model.forward_batch(x_t, y_t, t, dropped)[0]
+        assert not np.array_equal(a, b)
         # with the null row copied over the cond row the outputs coincide
         tiny_model.params["cond_emb"][-1] = tiny_model.params["cond_emb"][0]
-        a2, b2 = forward(tiny_model, inp), forward(tiny_model, dropped)
-        assert np.array_equal(a2.x0_hat, b2.x0_hat)
+        a2, b2 = tiny_model.forward_batch(x_t, y_t, t, cond)[0], tiny_model.forward_batch(x_t, y_t, t, dropped)[0]
+        assert np.array_equal(a2, b2)
 
     def test_zero_heads_give_zero_outputs(self, tiny_model):
         tiny_model.params["head_x_w"][...] = 0.0
         tiny_model.params["head_x_b"][...] = 0.0
         tiny_model.params["head_y_w"][...] = 0.0
         tiny_model.params["head_y_b"][...] = 0.0
-        out = forward(tiny_model, make_input(tiny_model, np.random.default_rng(2)))
-        assert np.all(out.x0_hat == 0.0)
-        assert np.all(out.theta0_logits == 0.0)
+        x0_hat, logits, _ = tiny_model.forward_batch(*make_input(tiny_model, np.random.default_rng(2)))
+        assert np.all(x0_hat == 0.0)
+        assert np.all(logits == 0.0)
 
     def test_batch_matches_single(self, small_model):
         rng = np.random.default_rng(3)
@@ -64,18 +59,11 @@ class TestForward:
         cond = np.array([0, 1, -1, 0, -1])
         bx, bl, _ = small_model.forward_batch(x, y, t, cond)
         for i in range(5):
-            one = forward(
-                small_model,
-                DenoiserInput(
-                    x_t=x[i], y_t=y[i], t=int(t[i]),
-                    cond=None if cond[i] < 0 else int(cond[i]),
-                    cond_dropped=bool(cond[i] < 0),
-                ),
-            )
+            one_x, one_l, _ = small_model.forward_batch(x[i : i + 1], y[i : i + 1], t[i : i + 1], cond[i : i + 1])
             # batch and single-row GEMMs may take different BLAS code paths,
             # so agreement is to rounding, not bitwise
-            assert np.allclose(one.x0_hat, bx[i], rtol=1e-12, atol=1e-12)
-            assert np.allclose(one.theta0_logits, bl[i], rtol=1e-12, atol=1e-12)
+            assert np.allclose(one_x[0], bx[i], rtol=1e-12, atol=1e-12)
+            assert np.allclose(one_l[0], bl[i], rtol=1e-12, atol=1e-12)
 
     def test_shape_and_range_validation(self, tiny_model):
         rng = np.random.default_rng(4)
@@ -85,12 +73,6 @@ class TestForward:
             tiny_model.forward_batch(rng.standard_normal((1, 2)), np.array([[5]]), np.array([1]), np.array([0]))
         with pytest.raises(ValidationError):
             tiny_model.forward_batch(rng.standard_normal((1, 2)), np.array([[1]]), np.array([1]), np.array([9]))
-
-    def test_input_contract(self):
-        with pytest.raises(ValidationError):
-            DenoiserInput(x_t=np.zeros(2), y_t=np.array([1]), t=1, cond=None, cond_dropped=False)
-        with pytest.raises(ValidationError):
-            DenoiserInput(x_t=np.zeros(2), y_t=np.array([1]), t=0, cond=0)
 
 
 class TestParams:

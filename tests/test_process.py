@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcdp import process, verify
-from gcdp.distribution import JointSample, sample_rows
+from gcdp.distribution import sample_rows
 from gcdp.errors import ValidationError
 from gcdp.oracles import (
     brute_cat_posterior,
@@ -20,10 +20,7 @@ from gcdp.process import (
     one_hot,
     posterior_arrays,
     posterior_coeffs,
-    posterior_params,
     q_marginal_arrays,
-    q_marginal_params,
-    q_step,
     q_step_arrays,
     uniform_mix,
 )
@@ -82,12 +79,13 @@ class TestQStep:
     def test_vanishing_noise_keeps_state(self):
         beta = np.full(3, 1e-12)
         sched = NoiseSchedule(beta_gauss=beta, beta_cat=beta, check_terminal=False)
-        z = JointSample(x=np.array([0.4, -0.9]), y=np.array([1, 3, 2]))
+        x, y = np.array([[0.4, -0.9]]), np.array([[1, 3, 2]])
+        kernel = forward_kernel(1, sched, 3)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            zt = q_step(z, 1, sched, rng, n_classes=3)
-            assert np.allclose(zt.x, z.x, atol=1e-5)
-            assert np.array_equal(zt.y, z.y)
+            x_t, y_t = q_step_arrays(x, y, kernel, rng)
+            assert np.allclose(x_t, x, atol=1e-5)
+            assert np.array_equal(y_t, y)
 
     def test_full_mixing_kernel_is_uniform(self):
         # beta = 1 (keep = 0) is validated off in schedules; the kernel itself is testable
@@ -105,11 +103,11 @@ class TestQStep:
 
     def test_rejects_out_of_range_t(self):
         sched = NoiseSchedule(beta_gauss=np.array([0.5]), beta_cat=np.array([0.5]), check_terminal=False)
-        z = JointSample(x=np.zeros(1), y=np.array([1]))
+        x, y = np.zeros((1, 1)), np.array([[1]])
         with pytest.raises(ValidationError):
-            q_step(z, 2, sched, np.random.default_rng(0), 2)
+            q_step_arrays(x, y, forward_kernel(2, sched, 2), np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            q_step(z, 0, sched, np.random.default_rng(0), 2)
+            q_step_arrays(x, y, forward_kernel(0, sched, 2), np.random.default_rng(0))
 
 
 class TestMarginal:
@@ -117,10 +115,9 @@ class TestMarginal:
         # alphabar = 0.25 at t=2 via beta = [0.5, 0.5]
         beta = np.array([0.5, 0.5])
         sched = NoiseSchedule(beta_gauss=beta, beta_cat=beta, check_terminal=False)
-        z0 = JointSample(x=np.array([1.0]), y=np.array([1]))
-        params = q_marginal_params(z0, 2, sched, n_classes=2)
-        assert params.mu[0] == pytest.approx(0.5, abs=1e-15)
-        assert params.var[0] == pytest.approx(0.75, abs=1e-15)
+        mu, var, _ = q_marginal_arrays(np.array([[1.0]]), np.array([[1]]), 2, sched, n_classes=2)
+        assert mu[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert var == pytest.approx(0.75, abs=1e-15)
 
     def test_categorical_mixture(self):
         sched = NoiseSchedule(beta_gauss=np.array([0.5]), beta_cat=np.array([0.5]), check_terminal=False)
@@ -206,15 +203,17 @@ class TestPosterior:
             t = int(rng.integers(2, total + 1))
             y0, y_t = int(rng.integers(1, k + 1)), int(rng.integers(1, k + 1))
             x0, x_t = rng.standard_normal(2)
-            z_t = JointSample(x=np.array([x_t]), y=np.array([y_t]))
-            post = posterior_params(np.array([x0]), one_hot(np.array([y0]), k), z_t, t, sched)
+            mu, var, theta = posterior_arrays(
+                np.array([[x0]]), one_hot(np.array([[y0]]), k), np.array([[x_t]]), np.array([[y_t]]),
+                posterior_coeffs(t, t - 1, sched), k,
+            )
             ref = brute_cat_posterior(y_t, y0, float(sched.alpha_cat[t - 1]), sched.abar_cat(t - 1), k)
             mu_ref, var_ref = conjugate_gauss_posterior(
                 x_t, x0, float(sched.alpha_gauss[t - 1]), sched.abar_gauss(t - 1)
             )
-            assert np.max(np.abs(post.theta[0] - ref)) < 1e-10
-            assert abs(post.mu[0] - mu_ref) < 1e-10 * max(1.0, abs(mu_ref))
-            assert abs(post.var[0] - var_ref) < 1e-10
+            assert np.max(np.abs(theta[0, 0] - ref)) < 1e-10
+            assert abs(mu[0, 0] - mu_ref) < 1e-10 * max(1.0, abs(mu_ref))
+            assert abs(var - var_ref) < 1e-10
 
     def test_every_one_step_row_at_cosine_1000_p3_matches_enumeration(self):
         # small-t normalizers here are ~1e-13, below the old 1e-12 floor
@@ -268,9 +267,9 @@ class TestPosterior:
 
     def test_rejects_t_below_two(self):
         sched = NoiseSchedule(beta_gauss=np.array([0.5, 0.5]), beta_cat=np.array([0.5, 0.5]), check_terminal=False)
-        z = JointSample(x=np.zeros(1), y=np.array([1]))
+        # the one-step posterior at t = 1 would target s = 0: the decoder's job
         with pytest.raises(ValidationError):
-            posterior_params(np.zeros(1), one_hot(np.array([1]), 2), z, 1, sched)
+            posterior_coeffs(1, 0, sched)
 
 
 class TestStride:
@@ -281,13 +280,14 @@ class TestStride:
         th0 = rng.dirichlet(np.ones(3), size=2)
         x_t = rng.standard_normal(2)
         y_t = rng.integers(1, 4, 2)
-        z_t = JointSample(x=x_t, y=y_t)
         mu, var, theta = posterior_arrays(x0, th0, x_t, y_t, posterior_coeffs(4, 3, sched), 3)
-        one = posterior_params(x0, th0, z_t, 4, sched)
-        assert np.array_equal(mu, one.mu)
-        # the params type renormalizes rows on construction (one-ulp drift)
-        assert np.allclose(theta, one.theta, atol=1e-15)
-        assert np.allclose(var, one.var[0])
+        # the one-step posterior (t, t - 1), as a batch of one
+        one_mu, one_var, one_theta = posterior_arrays(
+            x0[None], th0[None], x_t[None], y_t[None], posterior_coeffs(4, 4 - 1, sched), 3
+        )
+        assert np.array_equal(mu, one_mu[0])
+        assert np.allclose(theta, one_theta[0], atol=1e-15)
+        assert np.allclose(var, one_var)
 
     def test_none_prediction_leaves_that_law_unbuilt(self):
         rng = np.random.default_rng(12)

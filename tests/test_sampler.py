@@ -3,19 +3,10 @@ import pytest
 
 from gcdp import process, sampler
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
-from gcdp.distribution import JointSample, ShapeSpec, row_sum, sample_rows, softmax
+from gcdp.distribution import ShapeSpec, row_sum, sample_rows, softmax
 from gcdp.errors import NumericalError, ValidationError
 from gcdp.process import NORM_FLOOR, gauss_posterior_coeffs, one_hot, uniform_mix
-from gcdp.sampler import (
-    GuidanceConfig,
-    OutpaintSpec,
-    ancestral_sample,
-    default_stride,
-    outpaint,
-    outpaint_batch,
-    sample_batch,
-    strided_sample,
-)
+from gcdp.sampler import GuidanceConfig, default_stride, outpaint_batch, sample_batch
 from gcdp.schedules import NoiseSchedule, cosine_schedule
 
 from conftest import random_schedule
@@ -25,6 +16,11 @@ from conftest import random_schedule
 def setup(small_model):
     sched = random_schedule(np.random.default_rng(0), 12)
     return small_model, sched
+
+
+def every_step(sched):
+    """The ancestral chain: every timestep 1..T."""
+    return range(1, sched.total_steps + 1)
 
 
 class _TwoBranchStub:
@@ -71,31 +67,39 @@ class TestGuidance:
 
     def test_enabled_w1_matches_disabled(self, setup):
         model, sched = setup
-        a = ancestral_sample(model, sched, 1, GuidanceConfig(scale=1.0, enabled=True), np.random.default_rng(5))
-        b = ancestral_sample(model, sched, 1, GuidanceConfig(enabled=False), np.random.default_rng(5))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        cond = np.array([1])
+        ax, ay = sample_batch(model, sched, cond, GuidanceConfig(scale=1.0, enabled=True), every_step(sched),
+                              np.random.default_rng(5))
+        bx, by = sample_batch(model, sched, cond, GuidanceConfig(enabled=False), every_step(sched),
+                              np.random.default_rng(5))
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_guided_and_conditional_differ_at_w2(self, setup):
         model, sched = setup
-        a = ancestral_sample(model, sched, 1, GuidanceConfig(scale=2.0, enabled=True), np.random.default_rng(5))
-        b = ancestral_sample(model, sched, 1, GuidanceConfig(enabled=False), np.random.default_rng(5))
-        assert not np.array_equal(a.x, b.x)
+        cond = np.array([1])
+        ax, _ = sample_batch(model, sched, cond, GuidanceConfig(scale=2.0, enabled=True), every_step(sched),
+                             np.random.default_rng(5))
+        bx, _ = sample_batch(model, sched, cond, GuidanceConfig(enabled=False), every_step(sched),
+                             np.random.default_rng(5))
+        assert not np.array_equal(ax, bx)
 
 
 class TestStrided:
     def test_full_stride_bit_identical_to_ancestral(self, setup):
         model, sched = setup
-        steps = range(1, sched.total_steps + 1)
-        a = strided_sample(model, sched, 0, GuidanceConfig(), steps, np.random.default_rng(2))
-        b = ancestral_sample(model, sched, 0, GuidanceConfig(), np.random.default_rng(2))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        # the full stride as default_stride gives it, against the explicit step list
+        steps = default_stride(sched.total_steps, sched.total_steps)
+        ax, ay = sample_batch(model, sched, np.array([0]), GuidanceConfig(), steps, np.random.default_rng(2))
+        bx, by = sample_batch(model, sched, np.array([0]), GuidanceConfig(), every_step(sched),
+                              np.random.default_rng(2))
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_step_validation(self, setup):
         model, sched = setup
         rng = np.random.default_rng(0)
         for bad in ([], [3, 2, sched.total_steps], [0, sched.total_steps], [1, 2]):
             with pytest.raises(ValidationError):
-                strided_sample(model, sched, 0, GuidanceConfig(), bad, rng)
+                sample_batch(model, sched, np.array([0]), GuidanceConfig(), bad, rng)
 
     def test_default_stride_contents(self):
         s = default_stride(1000, 100)
@@ -119,10 +123,10 @@ class TestStrided:
         model = Counting.init(cfg, 0)
         sched = cosine_schedule(1000)
         rng = np.random.default_rng(3)
-        strided_sample(model, sched, None, GuidanceConfig(), default_stride(1000, 100), rng)
+        sample_batch(model, sched, np.array([-1]), GuidanceConfig(), default_stride(1000, 100), rng)
         fast = calls["n"]
         calls["n"] = 0
-        strided_sample(model, sched, None, GuidanceConfig(), range(1, 1001), rng)
+        sample_batch(model, sched, np.array([-1]), GuidanceConfig(), range(1, 1001), rng)
         assert fast == 100
         assert calls["n"] == 1000
 
@@ -130,15 +134,16 @@ class TestStrided:
         model, sched = setup
         k = model.config.shape.n_classes
         for seed in range(100):
-            z = strided_sample(model, sched, None, GuidanceConfig(), [1, 4, 8, 12], np.random.default_rng(seed))
-            assert np.all(np.isfinite(z.x))
-            assert np.all((z.y >= 1) & (z.y <= k))
+            x, y = sample_batch(model, sched, np.array([-1]), GuidanceConfig(), [1, 4, 8, 12],
+                                np.random.default_rng(seed))
+            assert np.all(np.isfinite(x))
+            assert np.all((y >= 1) & (y <= k))
 
     def test_seed_determinism(self, setup):
         model, sched = setup
-        a = strided_sample(model, sched, 0, GuidanceConfig(), [1, 6, 12], np.random.default_rng(9))
-        b = strided_sample(model, sched, 0, GuidanceConfig(), [1, 6, 12], np.random.default_rng(9))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        ax, ay = sample_batch(model, sched, np.array([0]), GuidanceConfig(), [1, 6, 12], np.random.default_rng(9))
+        bx, by = sample_batch(model, sched, np.array([0]), GuidanceConfig(), [1, 6, 12], np.random.default_rng(9))
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_nonfinite_abort_names_timestep(self, setup):
         model, sched = setup
@@ -146,7 +151,7 @@ class TestStrided:
             v[...] = 1e200
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="timestep"):
-                ancestral_sample(model, sched, 0, GuidanceConfig(), np.random.default_rng(0))
+                sample_batch(model, sched, np.array([0]), GuidanceConfig(), every_step(sched), np.random.default_rng(0))
 
 
 class TestClippedPrediction:
@@ -193,56 +198,56 @@ class TestClippedPrediction:
 
 
 class TestOutpaint:
-    def _spec(self, model, rng, mask):
+    def _known(self, model, rng):
+        """One known sample as a batch of one: (known_x (1, N), known_y (1, M))."""
         s = model.config.shape
-        known = JointSample(
-            x=rng.uniform(-1, 1, s.n_gauss), y=rng.integers(1, s.n_classes + 1, s.n_cat)
-        )
-        return OutpaintSpec(known=known, mask=mask, resample_n=2)
+        return rng.uniform(-1, 1, (1, s.n_gauss)), rng.integers(1, s.n_classes + 1, (1, s.n_cat))
 
     def test_all_true_mask_returns_known(self, setup):
         model, sched = setup
         rng = np.random.default_rng(4)
         s = model.config.shape
-        spec = self._spec(model, rng, np.ones(s.n_gauss + s.n_cat, bool))
-        out = outpaint(model, sched, spec, 0, GuidanceConfig(), np.random.default_rng(1))
-        assert np.array_equal(out.x, spec.known.x)
-        assert np.array_equal(out.y, spec.known.y)
+        kx, ky = self._known(model, rng)
+        mask = np.ones(s.n_gauss + s.n_cat, bool)
+        x, y = outpaint_batch(model, sched, kx, ky, mask, 2, np.array([0]), GuidanceConfig(), np.random.default_rng(1))
+        assert np.array_equal(x, kx)
+        assert np.array_equal(y, ky)
 
     def test_all_false_mask_matches_ancestral(self, setup):
         model, sched = setup
         rng = np.random.default_rng(5)
         s = model.config.shape
-        spec = OutpaintSpec(
-            known=self._spec(model, rng, np.zeros(s.n_gauss + s.n_cat, bool)).known,
-            mask=np.zeros(s.n_gauss + s.n_cat, bool),
-            resample_n=3,
-        )
-        a = outpaint(model, sched, spec, 0, GuidanceConfig(), np.random.default_rng(6))
-        b = ancestral_sample(model, sched, 0, GuidanceConfig(), np.random.default_rng(6))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        kx, ky = self._known(model, rng)
+        mask = np.zeros(s.n_gauss + s.n_cat, bool)
+        ax, ay = outpaint_batch(model, sched, kx, ky, mask, 3, np.array([0]), GuidanceConfig(),
+                                np.random.default_rng(6))
+        bx, by = sample_batch(model, sched, np.array([0]), GuidanceConfig(), every_step(sched),
+                              np.random.default_rng(6))
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_known_region_bit_exact_mixed_mask(self, setup):
         model, sched = setup
         rng = np.random.default_rng(7)
         s = model.config.shape
         mask = rng.random(s.n_gauss + s.n_cat) < 0.5
-        spec = self._spec(model, rng, mask)
-        out = outpaint(model, sched, spec, 1, GuidanceConfig(), np.random.default_rng(8))
+        kx, ky = self._known(model, rng)
+        x, y = outpaint_batch(model, sched, kx, ky, mask, 2, np.array([1]), GuidanceConfig(), np.random.default_rng(8))
         mx, my = mask[: s.n_gauss], mask[s.n_gauss :]
-        assert np.array_equal(out.x[mx], spec.known.x[mx])
-        assert np.array_equal(out.y[my], spec.known.y[my])
-        assert np.all((out.y >= 1) & (out.y <= s.n_classes))
+        assert np.array_equal(x[:, mx], kx[:, mx])
+        assert np.array_equal(y[:, my], ky[:, my])
+        assert np.all((y >= 1) & (y <= s.n_classes))
 
     def test_seed_determinism(self, setup):
         model, sched = setup
         rng = np.random.default_rng(9)
         s = model.config.shape
         mask = rng.random(s.n_gauss + s.n_cat) < 0.3
-        spec = self._spec(model, rng, mask)
-        a = outpaint(model, sched, spec, 0, GuidanceConfig(), np.random.default_rng(10))
-        b = outpaint(model, sched, spec, 0, GuidanceConfig(), np.random.default_rng(10))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        kx, ky = self._known(model, rng)
+        ax, ay = outpaint_batch(model, sched, kx, ky, mask, 2, np.array([0]), GuidanceConfig(),
+                                np.random.default_rng(10))
+        bx, by = outpaint_batch(model, sched, kx, ky, mask, 2, np.array([0]), GuidanceConfig(),
+                                np.random.default_rng(10))
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_resample_uses_more_model_calls(self, setup):
         model, sched = setup
@@ -258,21 +263,14 @@ class TestOutpaint:
         rng = np.random.default_rng(11)
         mask = np.zeros(s.n_gauss + s.n_cat, bool)
         mask[0] = True
-        known = JointSample(x=np.zeros(s.n_gauss), y=np.ones(s.n_cat, dtype=int))
-        outpaint(model, sched, OutpaintSpec(known=known, mask=mask, resample_n=1), 0, GuidanceConfig(), rng)
+        kx, ky = np.zeros((1, s.n_gauss)), np.ones((1, s.n_cat), dtype=int)
+        outpaint_batch(model, sched, kx, ky, mask, 1, np.array([0]), GuidanceConfig(), rng)
         single = calls["n"]
         calls["n"] = 0
-        outpaint(model, sched, OutpaintSpec(known=known, mask=mask, resample_n=3), 0, GuidanceConfig(), rng)
+        outpaint_batch(model, sched, kx, ky, mask, 3, np.array([0]), GuidanceConfig(), rng)
         total = sched.total_steps
         assert single == total
         assert calls["n"] == 3 * (total - 1) + 1  # no resampling at t = 1
-
-    def test_spec_validation(self):
-        known = JointSample(x=np.zeros(2), y=np.array([1]))
-        with pytest.raises(ValidationError):
-            OutpaintSpec(known=known, mask=np.ones(2, bool), resample_n=1)
-        with pytest.raises(ValidationError):
-            OutpaintSpec(known=known, mask=np.ones(3, bool), resample_n=0)
 
     def test_batch_shares_mask(self, setup):
         model, sched = setup
@@ -284,6 +282,53 @@ class TestOutpaint:
         x, y = outpaint_batch(model, sched, kx, ky, mask, 1, np.zeros(3, dtype=int), GuidanceConfig(), rng)
         assert np.array_equal(x, kx)
         assert y.shape == (3, s.n_cat)
+
+
+# One invalid input per check of outpaint_batch: the arguments that change
+# a valid batch of two over the model's shape s, and the message.
+BAD_OUTPAINT_INPUTS = {
+    "mask_length": (lambda s: {"mask": np.ones(s.n_gauss + s.n_cat - 1, bool)}, r"mask length must be N \+ M"),
+    "resample_n_0": (lambda s: {"resample_n": 0}, "resample_n must be >= 1"),
+    "known_x_1d": (lambda s: {"known_x": np.zeros(s.n_gauss)}, r"known_x must be \(B, N\)"),
+    "known_x_width": (lambda s: {"known_x": np.zeros((2, s.n_gauss + 1))}, r"known_x must be \(B, N\)"),
+    "known_y_width": (lambda s: {"known_y": np.ones((2, s.n_cat - 1), dtype=np.int64)}, r"known_y must be \(B, M\)"),
+    "known_y_batch": (lambda s: {"known_y": np.ones((3, s.n_cat), dtype=np.int64)}, r"known_y must be \(B, M\)"),
+    "conds_batch": (lambda s: {"conds": np.zeros(3, dtype=np.int64)}, r"conds must be \(B,\)"),
+    "conds_2d": (lambda s: {"conds": np.zeros((2, 1), dtype=np.int64)}, r"conds must be \(B,\)"),
+    "nan_pixel": (lambda s: {"known_x": np.where(np.arange(s.n_gauss) == 0, np.nan, np.zeros((2, s.n_gauss)))},
+                  "known pixels must be finite"),
+    "inf_pixel": (lambda s: {"known_x": np.where(np.arange(s.n_gauss) == 3, -np.inf, np.zeros((2, s.n_gauss)))},
+                  "known pixels must be finite"),
+    "label_0": (lambda s: {"known_y": np.where(np.arange(s.n_cat) == 2, 0, np.ones((2, s.n_cat), dtype=np.int64))},
+                "known labels must lie in"),
+    "label_above_k": (
+        lambda s: {"known_y": np.where(np.arange(s.n_cat) == s.n_cat - 1, s.n_classes + 1,
+                                       np.ones((2, s.n_cat), dtype=np.int64))},
+        "known labels must lie in",
+    ),
+}
+
+
+class TestOutpaintValidation:
+    """outpaint_batch checks its known samples ahead of every path, the
+    all-known early return included."""
+
+    @pytest.mark.parametrize("case", list(BAD_OUTPAINT_INPUTS))
+    def test_each_invalid_input_raises(self, setup, case):
+        model, sched = setup
+        s = model.config.shape
+        change, message = BAD_OUTPAINT_INPUTS[case]
+        args = {
+            "known_x": np.zeros((2, s.n_gauss)),
+            "known_y": np.ones((2, s.n_cat), dtype=np.int64),
+            "mask": np.ones(s.n_gauss + s.n_cat, bool),
+            "resample_n": 1,
+            "conds": np.zeros(2, dtype=np.int64),
+        }
+        x, y = outpaint_batch(model, sched, guidance=GuidanceConfig(), rng=np.random.default_rng(0), **args)
+        assert np.array_equal(x, args["known_x"]) and np.array_equal(y, args["known_y"])
+        with pytest.raises(ValidationError, match=message):
+            outpaint_batch(model, sched, guidance=GuidanceConfig(), rng=np.random.default_rng(0), **{**args, **change(s)})
 
 
 def _reference_outpaint(model, sched, known_x, known_y, mask, resample_n, conds, guidance, rng):

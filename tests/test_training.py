@@ -3,10 +3,10 @@ import pytest
 
 from gcdp import training
 from gcdp.denoiser import DenoiserConfig, ReferenceDenoiser
-from gcdp.distribution import JointSample, ShapeSpec, kl_divergence, softmax
+from gcdp.distribution import FactorizedGCParams, JointSample, ShapeSpec, kl_divergence, softmax
 from gcdp.errors import NumericalError, ValidationError
 from gcdp.oracles import finite_diff_grads, max_rel_error
-from gcdp.process import one_hot, posterior_params, q_marginal_arrays
+from gcdp.process import one_hot, posterior_arrays, posterior_coeffs, q_marginal_arrays
 from gcdp.schedules import NoiseSchedule, cosine_schedule
 from gcdp.training import (
     AdamState,
@@ -204,11 +204,17 @@ def test_bound_terms_are_posterior_kls(sched):
     near = x0 + 0.05 * rng.uniform(-1, 1, (batch, n))
     gauss_near, _, _, _ = bound_terms(x0, y0, y_t, t, near, theta0_hat, sched)
     for i in range(batch):
-        z_t = JointSample(x=x_t[i], y=y_t[i])
-        clean = posterior_params(x0[i], one_hot(y0[i], k), z_t, t[i], sched)
-        pred = posterior_params(x0_hat[i], theta0_hat[i], z_t, t[i], sched)
+        coeffs = posterior_coeffs(int(t[i]), int(t[i]) - 1, sched)
+
+        def posterior(x0_i, theta0_i):
+            """The one-step posterior of item i, from a batch of one."""
+            mu, var, theta = posterior_arrays(x0_i[None], theta0_i[None], x_t[i : i + 1], y_t[i : i + 1], coeffs, k)
+            return FactorizedGCParams(mu=mu[0], var=np.full_like(mu[0], var), theta=theta[0])
+
+        clean = posterior(x0[i], one_hot(y0[i], k))
+        pred = posterior(x0_hat[i], theta0_hat[i])
         assert gauss[i] + cat[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10, abs=0)
-        pred = posterior_params(near[i], one_hot(y0[i], k), z_t, t[i], sched)
+        pred = posterior(near[i], one_hot(y0[i], k))
         assert gauss_near[i] == pytest.approx(kl_divergence(clean, pred), rel=1e-10, abs=0)
 
 
